@@ -68,6 +68,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
 def support(n: int) -> tuple[int, ...]:
     """The distinct primes dividing n."""
     return tuple(p for p, _ in factorize(n))

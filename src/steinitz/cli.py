@@ -367,6 +367,13 @@ def _parse_rational(p: _P) -> Fraction:
     return Fraction(u, v)
 
 
+def _parse_scale(text: str) -> int:
+    p = _P(text)
+    v, _ = p.expect_int("a scale")
+    p.done()
+    return v
+
+
 def _parse_int_list(text: str) -> list[int]:
     p = _P(text)
     out = []
@@ -535,7 +542,7 @@ def _h_bz(args):
         return 0, result, None, text
     if args.second is None:
         raise ParseError("bz tofrac needs a scale and a supernatural")
-    pair = BZPair(int(args.first), _strict_supernatural(args.second))
+    pair = BZPair(_parse_scale(args.first), _strict_supernatural(args.second))
     out = str(pair_to_frac(pair))
     return 0, out, None, out
 
@@ -553,7 +560,7 @@ def _h_cone(args):
     if args.value is None or args.other is None:
         raise ParseError("cone iso needs two scale/supernatural pairs")
     first = BZPair(args.scale, _strict_supernatural(args.denominators))
-    second = BZPair(int(args.value), _strict_supernatural(args.other))
+    second = BZPair(_parse_scale(args.value), _strict_supernatural(args.other))
     return _predicate(cones_isomorphic(first, second))
 
 
@@ -595,7 +602,7 @@ def _h_oracle(args):
         )
     else:
         scale_text, snat_text = args.pair
-        pair = BZPair(int(scale_text), _strict_supernatural(snat_text))
+        pair = BZPair(_parse_scale(scale_text), _strict_supernatural(snat_text))
         tc = TruncatedCone.from_pair(pair, monoid, args.num, args.den)
     return _predicate(additively_closed(tc))
 

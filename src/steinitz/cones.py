@@ -26,7 +26,7 @@ from .supernat import (
 PositiveRational = Fraction
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BZPair:
     """(scale, denominators): the pair form of a rank-one cone."""
 
@@ -42,11 +42,6 @@ class BZPair:
                     f"scale prime {p} also divides the denominator part; "
                     "the pair form needs them coprime"
                 )
-
-    def __eq__(self, other):
-        if not isinstance(other, BZPair):
-            return NotImplemented
-        return self.scale == other.scale and self.denominators == other.denominators
 
     def __str__(self) -> str:
         return f"({self.scale}, {self.denominators})"

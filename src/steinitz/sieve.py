@@ -16,13 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm
+from typing import Iterable
 
 from ._primes import factorize, primes_upto, support
 from .errors import NonCoprimeGenerators, UnsupportedProduct
-from .supernat import INF, ExpMap, PrimeSet, unit_residues
+from .supernat import INF, ExpMap, PrimeSet, align, unit_residues
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Family:
     """The instances {cofactor * p^e(p) : p in primes}, e(p) finite >= 1."""
 
@@ -33,16 +34,13 @@ class Family:
     def __post_init__(self):
         if not isinstance(self.cofactor, int) or self.cofactor < 1:
             raise ValueError(f"cofactor must be a positive integer, got {self.cofactor!r}")
-        m = lcm(self.primes.modulus, self.exponents.modulus)
-        ps, em = self.primes.refined(m), self.exponents.refined(m)
-        for r in unit_residues(m):
-            if r in ps.classes:
-                v = em.class_values[r]
-                if v == INF or v < 1:
-                    raise ValueError(f"family exponent {v} at class {r} must be a finite value >= 1")
-        for p in set(em.exceptions) | set(ps.include):
-            if ps.contains(p):
-                v = em.value_at(p)
+        m, (inside, exps), primes = align(self.primes, self.exponents)
+        for r, i, v in zip(unit_residues(m), inside, exps):
+            if i and (v == INF or v < 1):
+                raise ValueError(f"family exponent {v} at class {r} must be a finite value >= 1")
+        for p in primes:
+            if self.primes.contains(p):
+                v = self.exponents.value_at(p)
                 if v == INF or v < 1:
                     raise ValueError(f"family exponent {v} at prime {p} must be a finite value >= 1")
 
@@ -51,6 +49,18 @@ class Family:
         if not self.primes.contains(p):
             raise ValueError(f"{p} is not in the family's prime set")
         return self.cofactor * p ** int(self.exponents.value_at(p))
+
+    def split(self, primes: Iterable[int]) -> tuple[list[int], PrimeSet | None]:
+        """Fold the family's members among the given primes out of it.
+
+        Returns the instances at those members, ascending by prime, and
+        the family's remaining prime set (None when nothing remains).
+        """
+        ps = self.primes
+        folded = frozenset(p for p in primes if ps.contains(p))
+        if folded:
+            ps = PrimeSet(ps.modulus, ps.classes, ps.include - folded, ps.exclude | folded)
+        return [self.instance(p) for p in sorted(folded)], (None if ps.is_empty() else ps)
 
     def covers(self, n_factors: dict[int, int]) -> bool:
         """Does some instance divide the integer with these factors?"""
@@ -100,7 +110,7 @@ def _family_key(f: Family):
     )
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class Sieve:
     finite_gens: tuple[int, ...] = ()
     families: tuple[Family, ...] = ()
@@ -155,20 +165,14 @@ class Sieve:
         fams: list[Family] = []
         for fam in self.families:
             em = fam.exponents
-            special = sorted(
-                p
-                for p in set(fam.primes.include) | set(em.exceptions)
-                if fam.primes.contains(p)
-            )
-            for p in special:
-                gens.append(fam.instance(p))
-            ps = fam.primes.difference(PrimeSet.of(*special)) if special else fam.primes
-            if ps.is_empty():
+            instances, rest = fam.split(set(fam.primes.include) | set(em.exceptions))
+            gens.extend(instances)
+            if rest is None:
                 continue
             clean = ExpMap(
                 em.modulus, em.class_values, {q: 1 for q in support(em.modulus)}
             )
-            nf = Family(fam.cofactor, ps, clean)
+            nf = Family(fam.cofactor, rest, clean)
             if nf not in fams:
                 fams.append(nf)
         gens = sorted(set(gens))
@@ -206,19 +210,10 @@ class Sieve:
         fams = []
         for x in plain.finite_gens:
             for fam in fam_side.families:
-                folded = sorted(
-                    p for p in support(x * fam.cofactor) if fam.primes.contains(p)
-                )
-                for p in folded:
-                    gens.append(lcm(x, fam.instance(p)))
-                ps = (
-                    fam.primes.difference(PrimeSet.of(*folded))
-                    if folded
-                    else fam.primes
-                )
-                if ps.is_empty():
-                    continue
-                fams.append(Family(lcm(x, fam.cofactor), ps, fam.exponents))
+                instances, rest = fam.split(support(x * fam.cofactor))
+                gens.extend(lcm(x, i) for i in instances)
+                if rest is not None:
+                    fams.append(Family(lcm(x, fam.cofactor), rest, fam.exponents))
         return Sieve(tuple(gens), tuple(fams)).normalize()
 
     def transport(self, c: int) -> "Sieve":
@@ -228,15 +223,11 @@ class Sieve:
         gens = [g // gcd(g, c) for g in self.finite_gens]
         fams = []
         for fam in self.families:
-            folded = sorted(p for p in support(c) if fam.primes.contains(p))
-            for p in folded:
-                inst = fam.instance(p)
-                gens.append(inst // gcd(inst, c))
-            ps = fam.primes.difference(PrimeSet.of(*folded)) if folded else fam.primes
-            if ps.is_empty():
-                continue
-            m2 = fam.cofactor // gcd(fam.cofactor, c)
-            fams.append(Family(m2, ps, fam.exponents))
+            instances, rest = fam.split(support(c))
+            gens.extend(i // gcd(i, c) for i in instances)
+            if rest is not None:
+                cofactor = fam.cofactor // gcd(fam.cofactor, c)
+                fams.append(Family(cofactor, rest, fam.exponents))
         return Sieve(tuple(gens), tuple(fams)).normalize()
 
     def __str__(self) -> str:

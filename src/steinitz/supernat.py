@@ -8,18 +8,27 @@ theorem on primes in arithmetic progressions keeps every nonempty class
 infinite, which is what makes the classwise decision procedures here
 sound and complete.
 
-All comparisons (divisibility, equivalence, weak divisibility) refine
-both operands to a common modulus and then decide classwise plus a
-finite scan over exceptional primes.
+Construction is canonical.  The stored modulus is the minimal period of
+the class values (of class membership, for a prime set), and only the
+exceptions the classes cannot express are kept.  Each value therefore
+has one representation: structural equality is semantic equality,
+values hash, and equal values print the same literal.
+
+Every operation on several maps goes through align(), which yields the
+lcm of their moduli, each map's values on the unit classes of that
+modulus, and the finitely many primes where some map may depart from
+its class value.  Deciding classwise over the classes plus a finite
+scan over those primes decides for every prime.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping
+from operator import and_, eq, le
+from typing import Callable, Iterator, Mapping
 
 from ._primes import factorize, is_prime, iter_primes, primes_upto, support
 from .errors import SearchBudgetExceeded
@@ -45,11 +54,23 @@ def unit_residues(modulus: int) -> tuple[int, ...]:
     return tuple(r for r in range(modulus) if gcd(r, modulus) == 1)
 
 
+def _coarsened(values: Mapping[int, Exp], m: int, d: int) -> dict[int, Exp] | None:
+    """The class values mod d, or None when they are not constant on the
+    units mod m above some unit mod d."""
+    out = {}
+    for r in unit_residues(d):
+        for s in range(r, m, d):
+            v = values.get(s)
+            if v is not None and out.setdefault(r, v) != v:
+                return None
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Exponent maps
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ExpMap:
     """Prime -> exponent map, piecewise constant on residue classes.
 
@@ -58,6 +79,8 @@ class ExpMap:
       - class_values covers exactly the unit residues of the modulus;
       - every prime dividing the modulus appears in exceptions (its
         residue is not a unit, so the classes cannot speak for it);
+      - the modulus is the minimal period of the class values: the map
+        is re-expressed at the smallest divisor that carries them;
       - no removable exception: an exception at p not dividing the
         modulus is dropped when it equals the class value at p.
     """
@@ -70,30 +93,43 @@ class ExpMap:
         m = self.modulus
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"modulus must be a positive integer, got {m!r}")
-        units = unit_residues(m)
-        if set(self.class_values) != set(units):
+        values = dict(self.class_values)
+        if values.keys() != set(unit_residues(m)):
             raise ValueError(
                 f"class_values must cover exactly the unit residues mod {m}"
             )
-        for r, v in self.class_values.items():
+        for r, v in values.items():
             if not is_exp(v):
                 raise ValueError(f"bad exponent {v!r} at class {r}")
-        cleaned = {}
+        primes = support(m)
+        for p in primes:
+            if p not in self.exceptions:
+                raise ValueError(f"prime {p} divides modulus {m}; needs an exception")
+        for q in primes:
+            while m % q == 0 and (coarse := _coarsened(values, m, m // q)) is not None:
+                m, values = m // q, coarse
+        exceptions = {}
         for p, v in self.exceptions.items():
             if not is_prime(p):
                 raise ValueError(f"exception key {p} is not prime")
             if not is_exp(v):
                 raise ValueError(f"bad exponent {v!r} at prime {p}")
-            # keep mandatory exceptions (p | modulus) even when redundant
-            if m % p != 0 and self.class_values[p % m] == v:
-                continue
-            cleaned[p] = v
-        for p in support(m):
-            if p not in self.exceptions:
-                raise ValueError(f"prime {p} divides modulus {m}; needs an exception")
-            cleaned[p] = self.exceptions[p]
-        object.__setattr__(self, "class_values", dict(self.class_values))
-        object.__setattr__(self, "exceptions", cleaned)
+            # primes of the modulus stay mandatory; any other exception
+            # only when it departs from its class
+            if m % p == 0 or values[p % m] != v:
+                exceptions[p] = v
+        object.__setattr__(self, "modulus", m)
+        object.__setattr__(self, "class_values", values)
+        object.__setattr__(self, "exceptions", exceptions)
+
+    def __hash__(self):
+        return hash(
+            (
+                self.modulus,
+                frozenset(self.class_values.items()),
+                frozenset(self.exceptions.items()),
+            )
+        )
 
     def value_at(self, p: int) -> Exp:
         if p in self.exceptions:
@@ -101,53 +137,35 @@ class ExpMap:
         return self.class_values[p % self.modulus]
 
     def refined(self, new_modulus: int) -> "ExpMap":
-        """Re-express the same map modulo a multiple of the modulus."""
+        """The map modulo a multiple of its modulus: the map itself, since
+        construction always returns to the minimal modulus."""
         if new_modulus % self.modulus != 0:
             raise ValueError(f"{new_modulus} does not refine modulus {self.modulus}")
-        if new_modulus == self.modulus:
-            return self
-        cv = {r: self.class_values[r % self.modulus] for r in unit_residues(new_modulus)}
-        exc = dict(self.exceptions)
-        for p in support(new_modulus):
-            if p not in exc:
-                exc[p] = self.class_values[p % self.modulus]
-        return ExpMap(new_modulus, cv, exc)
+        return self
 
     def combine(self, other: "ExpMap", fn: Callable[[Exp, Exp], Exp]) -> "ExpMap":
-        """Pointwise combination; the result lives on the lcm modulus."""
-        m = lcm(self.modulus, other.modulus)
-        a, b = self.refined(m), other.refined(m)
-        cv = {r: fn(a.class_values[r], b.class_values[r]) for r in unit_residues(m)}
-        keys = set(a.exceptions) | set(b.exceptions)
-        exc = {p: fn(a.value_at(p), b.value_at(p)) for p in keys}
-        return ExpMap(m, cv, exc)
+        """Pointwise combination fn(self(p), other(p))."""
+        m, (a, b), primes = align(self, other)
+        values = dict(zip(unit_residues(m), map(fn, a, b)))
+        exceptions = {p: fn(self.value_at(p), other.value_at(p)) for p in primes}
+        return ExpMap(m, values, exceptions)
 
     def same_values(self, other: "ExpMap") -> bool:
-        m = lcm(self.modulus, other.modulus)
-        a, b = self.refined(m), other.refined(m)
-        if any(a.class_values[r] != b.class_values[r] for r in unit_residues(m)):
-            return False
-        keys = set(a.exceptions) | set(b.exceptions)
-        return all(a.value_at(p) == b.value_at(p) for p in keys)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpMap):
-            return NotImplemented
-        return self.same_values(other)
+        return self == other
 
 
 # ---------------------------------------------------------------------------
 # Sets of primes, same representation idea
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PrimeSet:
     """A set of primes: unit residue classes plus finite include/exclude.
 
     Membership: p in include, or (p not in exclude and p % modulus in
-    classes).  Construction trims include/exclude to the minimal form at
-    the stored modulus, so structural comparison at a common modulus is
-    semantic equality.
+    classes).  Construction reduces the modulus to the minimal period of
+    the classes and trims include/exclude to what the classes miss or
+    wrongly cover, so structural equality is semantic equality.
     """
 
     modulus: int = 1
@@ -170,10 +188,22 @@ class PrimeSet:
                 raise ValueError(f"{p} is not prime")
         if inc & exc:
             raise ValueError(f"include and exclude overlap: {sorted(inc & exc)}")
-        # minimal form: include only what the classes miss, exclude only
-        # what the classes would wrongly cover
+        # the classes hold whole fibres over the units mod d = m/q exactly
+        # when they number |image| times the fibre size
+        for q in support(m):
+            while m % q == 0:
+                d = m // q
+                image = frozenset(map(d.__rmod__, classes))
+                if len(image) * (q if d % q == 0 else q - 1) != len(classes):
+                    break
+                m, classes = d, image
+        if m != self.modulus:
+            # the old modulus's primes were members only through include;
+            # their residues may now be member classes
+            exc |= frozenset(support(self.modulus)) - inc
         inc = frozenset(p for p in inc if p % m not in classes)
         exc = frozenset(p for p in exc if p % m in classes)
+        object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "include", inc)
         object.__setattr__(self, "exclude", exc)
@@ -198,40 +228,18 @@ class PrimeSet:
         return p % self.modulus in self.classes
 
     def refined(self, new_modulus: int) -> "PrimeSet":
+        """The set modulo a multiple of its modulus: the set itself, since
+        construction always returns to the minimal modulus."""
         if new_modulus % self.modulus != 0:
             raise ValueError(f"{new_modulus} does not refine modulus {self.modulus}")
-        if new_modulus == self.modulus:
-            return self
-        classes = frozenset(
-            r for r in unit_residues(new_modulus) if r % self.modulus in self.classes
-        )
-        inc = set(self.include)
-        exc = set(self.exclude)
-        for p in support(new_modulus):
-            # p's residue stops being a unit; record its fate explicitly
-            if self.contains(p):
-                inc.add(p)
-                exc.discard(p)
-            else:
-                exc.discard(p)
-        return PrimeSet(new_modulus, classes, frozenset(inc), frozenset(exc))
+        return self
 
     def combine(self, other: "PrimeSet", fn: Callable[[bool, bool], bool]) -> "PrimeSet":
         """Boolean combination; fn(False, False) must be False."""
-        m = lcm(self.modulus, other.modulus)
-        a, b = self.refined(m), other.refined(m)
-        classes = frozenset(
-            r for r in unit_residues(m) if fn(r in a.classes, r in b.classes)
-        )
-        inc, exc = set(), set()
-        for p in a.include | a.exclude | b.include | b.exclude:
-            want = fn(a.contains(p), b.contains(p))
-            covered = p % m in classes
-            if want and not covered:
-                inc.add(p)
-            elif not want and covered:
-                exc.add(p)
-        return PrimeSet(m, classes, frozenset(inc), frozenset(exc))
+        m, (a, b), primes = align(self, other)
+        classes = frozenset(r for r, x, y in zip(unit_residues(m), a, b) if fn(x, y))
+        inc = frozenset(p for p in primes if fn(self.contains(p), other.contains(p)))
+        return PrimeSet(m, classes, inc, primes - inc)
 
     def union(self, other: "PrimeSet") -> "PrimeSet":
         return self.combine(other, lambda x, y: x or y)
@@ -254,13 +262,10 @@ class PrimeSet:
         return self.difference(other).is_empty()
 
     def intersects(self, other: "PrimeSet") -> bool:
-        m = lcm(self.modulus, other.modulus)
-        a, b = self.refined(m), other.refined(m)
-        if a.classes & b.classes:
-            # a shared class is infinite; finite excludes cannot empty it
-            return True
-        return any(b.contains(p) for p in a.include) or any(
-            a.contains(p) for p in b.include
+        _, (a, b), primes = align(self, other)
+        # a shared class is infinite; finite excludes cannot empty it
+        return any(map(and_, a, b)) or any(
+            self.contains(p) and other.contains(p) for p in primes
         )
 
     def members(self, bound: int) -> list[int]:
@@ -277,17 +282,6 @@ class PrimeSet:
             if self.contains(p):
                 return p
         raise AssertionError("unreachable")
-
-    def __eq__(self, other):
-        if not isinstance(other, PrimeSet):
-            return NotImplemented
-        m = lcm(self.modulus, other.modulus)
-        a, b = self.refined(m), other.refined(m)
-        return (
-            a.classes == b.classes
-            and a.include == b.include
-            and a.exclude == b.exclude
-        )
 
     def __str__(self) -> str:
         if self.modulus == 1 and 0 in self.classes:
@@ -307,16 +301,49 @@ class PrimeSet:
         return parts
 
 
+def align(*maps: ExpMap | PrimeSet) -> tuple[int, list[Iterator], set[int]]:
+    """Line up exponent maps and prime sets on their common modulus.
+
+    Returns (m, columns, primes).  m is the lcm of the moduli.
+    columns[i] iterates, once, over the value of maps[i] on each residue
+    of unit_residues(m) in order: the class value for an ExpMap, class
+    membership for a PrimeSet.  primes holds the primes of m and every
+    exception, include and exclude, so each map agrees with its column
+    at every prime outside it.  No refined map is built.
+    """
+    m = 1
+    for x in maps:
+        m = lcm(m, x.modulus)
+    units = unit_residues(m)
+    primes = set()
+    columns = []
+    for x in maps:
+        k = x.modulus
+        if isinstance(x, PrimeSet):
+            primes.update(x.include, x.exclude, support(k))
+            look = x.classes.__contains__
+        else:
+            # the exceptions of an ExpMap hold the primes of its modulus
+            primes.update(x.exceptions)
+            look = x.class_values.__getitem__
+        # map(k.__rmod__, ...) yields r % k and binds k now, not when read
+        columns.append(map(look, units if k == m else map(k.__rmod__, units)))
+    return m, columns, primes
+
+
 # ---------------------------------------------------------------------------
 # The numbers themselves
 
 
-def _check_nonneg(v: Exp, where: str) -> None:
-    if v != INF and v < 0:
-        raise ValueError(f"negative exponent {v} not allowed {where}")
+def _same_infinity(x: Exp, y: Exp) -> bool:
+    return (x == INF) == (y == INF)
 
 
-@dataclass(frozen=True, eq=False)
+def _infinity_met(x: Exp, y: Exp) -> bool:
+    return y == INF or x != INF
+
+
+@dataclass(frozen=True)
 class Supernatural:
     """A formal product over all primes of p^e(p), e(p) in N or infinity."""
 
@@ -324,9 +351,11 @@ class Supernatural:
 
     def __post_init__(self):
         for r, v in self.exps.class_values.items():
-            _check_nonneg(v, f"at class {r}")
+            if v < 0:
+                raise ValueError(f"negative exponent {v} not allowed at class {r}")
         for p, v in self.exps.exceptions.items():
-            _check_nonneg(v, f"at prime {p}")
+            if v < 0:
+                raise ValueError(f"negative exponent {v} not allowed at prime {p}")
 
     @classmethod
     def from_int(cls, n: int) -> "Supernatural":
@@ -371,13 +400,20 @@ class Supernatural:
     def lcm(self, other: "Supernatural") -> "Supernatural":
         return Supernatural(self.exps.combine(other.exps, max))
 
+    def _holds(
+        self,
+        other: "Supernatural",
+        on_class: Callable[[Exp, Exp], bool],
+        at_prime: Callable[[Exp, Exp], bool],
+    ) -> bool:
+        """on_class holds on every aligned class and at_prime at every
+        prime where either map may leave its class value."""
+        _, (a, b), primes = align(self.exps, other.exps)
+        x, y = self.exps.value_at, other.exps.value_at
+        return all(map(on_class, a, b)) and all(at_prime(x(p), y(p)) for p in primes)
+
     def divides(self, other: "Supernatural") -> bool:
-        m = lcm_int(self.exps.modulus, other.exps.modulus)
-        a, b = self.exps.refined(m), other.exps.refined(m)
-        if any(a.class_values[r] > b.class_values[r] for r in unit_residues(m)):
-            return False
-        keys = set(a.exceptions) | set(b.exceptions)
-        return all(a.value_at(p) <= b.value_at(p) for p in keys)
+        return self._holds(other, le, le)
 
     def equivalent(self, other: "Supernatural") -> bool:
         """Same infinite part and only finitely many finite disagreements.
@@ -387,14 +423,7 @@ class Supernatural:
         finitely many exceptional primes only need to agree on whether
         the exponent is infinite.
         """
-        m = lcm_int(self.exps.modulus, other.exps.modulus)
-        a, b = self.exps.refined(m), other.exps.refined(m)
-        if any(a.class_values[r] != b.class_values[r] for r in unit_residues(m)):
-            return False
-        keys = set(a.exceptions) | set(b.exceptions)
-        return all(
-            (a.value_at(p) == INF) == (b.value_at(p) == INF) for p in keys
-        )
+        return self._holds(other, eq, _same_infinity)
 
     def weakly_divides(self, other: "Supernatural") -> bool:
         """Divides after a finite modification of the finite exponents.
@@ -404,18 +433,7 @@ class Supernatural:
         least as large; the finitely many exceptional violations can
         always be modified away.
         """
-        m = lcm_int(self.exps.modulus, other.exps.modulus)
-        a, b = self.exps.refined(m), other.exps.refined(m)
-        for r in unit_residues(m):
-            x, y = a.class_values[r], b.class_values[r]
-            if x == INF and y != INF:
-                return False
-            if y != INF and x > y:
-                return False
-        keys = set(a.exceptions) | set(b.exceptions)
-        return all(
-            b.value_at(p) == INF or a.value_at(p) != INF for p in keys
-        )
+        return self._holds(other, le, _infinity_met)
 
     @cached_property
     def _infinite_support(self) -> PrimeSet:
@@ -429,22 +447,14 @@ class Supernatural:
         """The primes carrying an infinite exponent."""
         return self._infinite_support
 
-    def __eq__(self, other):
-        if not isinstance(other, Supernatural):
-            return NotImplemented
-        return self.exps.same_values(other.exps)
-
     def __str__(self) -> str:
         e = self.exps
-        if e.modulus == 1 and not e.exceptions:
-            if e.class_values[0] == 0:
-                return "one"
-            if e.class_values[0] == INF:
-                return "sinf"
+        if e.modulus == 1 and not e.exceptions and e.class_values[0] == INF:
+            return "sinf"
         return format_map(e)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FractionalSupernatural:
     """Like Supernatural, but finitely many exponents may be negative.
 
@@ -456,7 +466,11 @@ class FractionalSupernatural:
 
     def __post_init__(self):
         for r, v in self.exps.class_values.items():
-            _check_nonneg(v, f"at class {r} (denominators must be finite products)")
+            if v < 0:
+                raise ValueError(
+                    f"negative exponent {v} not allowed at class {r} "
+                    "(denominators must be finite products)"
+                )
 
     @classmethod
     def from_exponents(
@@ -477,20 +491,16 @@ class FractionalSupernatural:
             if v != INF and v < 0
         }
 
-    def __eq__(self, other):
-        if not isinstance(other, FractionalSupernatural):
-            return NotImplemented
-        return self.exps.same_values(other.exps)
-
     def __str__(self) -> str:
-        e = self.exps
-        if e.modulus == 1 and not e.exceptions and e.class_values[0] == 0:
-            return "one"
-        return format_map(e)
+        return format_map(self.exps)
 
 
 def format_map(e: ExpMap) -> str:
-    """Canonical literal: terms by ascending prime, then the default."""
+    """Canonical literal: terms by ascending prime, then the default.
+
+    Construction keeps one representation per value, so equal maps
+    print the same literal.
+    """
     terms = [f"{p}^{fmt_exp(v)}" for p, v in sorted(e.exceptions.items())]
     head = " * ".join(terms) if terms else "one"
     if e.modulus == 1:
@@ -502,10 +512,6 @@ def format_map(e: ExpMap) -> str:
         f"{r}:{fmt_exp(e.class_values[r])}" for r in unit_residues(e.modulus)
     )
     return f"{head} ; default {{{inner}}} mod {e.modulus}"
-
-
-def lcm_int(a: int, b: int) -> int:
-    return lcm(a, b)
 
 
 def int_divides(n: int, s: Supernatural) -> bool:

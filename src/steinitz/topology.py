@@ -26,12 +26,11 @@ invariant on the equivalence class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from ._primes import support
 from .errors import NotIncomparable, NotSeparable
 from .sieve import Family, Sieve
-from .supernat import INF, ExpMap, PrimeSet, Supernatural, unit_residues
+from .supernat import INF, ExpMap, PrimeSet, Supernatural, align, unit_residues
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,14 +55,8 @@ def _as_supernatural(x) -> Supernatural:
 def _exponent_class_fits(fam: Family, s: Supernatural) -> bool:
     # case (c): a whole residue class of the family's primes where the
     # family exponent does not exceed the exponent of s
-    m = lcm(fam.primes.modulus, lcm(fam.exponents.modulus, s.exps.modulus))
-    ps = fam.primes.refined(m)
-    em = fam.exponents.refined(m)
-    sm = s.exps.refined(m)
-    return any(
-        r in ps.classes and em.class_values[r] <= sm.class_values[r]
-        for r in unit_residues(m)
-    )
+    _, (inside, need, have), _ = align(fam.primes, fam.exponents, s.exps)
+    return any(i and e <= v for i, e, v in zip(inside, need, have))
 
 
 def member(x: PointClass | Supernatural, sieve: Sieve) -> bool:
@@ -123,41 +116,20 @@ def separating_side(
     if not diff.is_empty():
         p = diff.first_member(prime_budget)
         return Sieve((p,), ())
-    m = lcm(sx.exps.modulus, sy.exps.modulus)
-    a, b = sx.exps.refined(m), sy.exps.refined(m)
-    classes = frozenset(
-        r
-        for r in unit_residues(m)
-        if b.class_values[r] != INF and a.class_values[r] > b.class_values[r]
+    m, (a, b), primes = align(sx.exps, sy.exps)
+    units = unit_residues(m)
+    over = {r: va for r, va, vb in zip(units, a, b) if vb != INF and va > vb}
+    x_at, y_at = sx.exps.value_at, sy.exps.value_at
+    want = frozenset(
+        p for p in primes if y_at(p) != INF and x_at(p) != INF and x_at(p) > y_at(p)
     )
-    inc, exc = set(), set()
-    keys = set(a.exceptions) | set(b.exceptions)
-    for p in keys:
-        va, vb = a.value_at(p), b.value_at(p)
-        want = vb != INF and va != INF and va > vb
-        covered = p % m in classes
-        if want and not covered:
-            inc.add(p)
-        elif not want and covered:
-            exc.add(p)
-    dominated = PrimeSet(m, classes, frozenset(inc), frozenset(exc))
+    dominated = PrimeSet(m, frozenset(over), want, frozenset(primes - want))
     # weak divisibility failed with matching infinite supports, so some
     # whole residue class dominates; the set is infinite
     assert dominated.is_infinite()
-    exp_exc: dict[int, int] = {}
-    for p in keys | set(support(m)):
-        if dominated.contains(p):
-            exp_exc[p] = int(a.value_at(p))
-        elif m % p == 0:
-            exp_exc[p] = 1
-    exp = ExpMap(
-        m,
-        {
-            r: (int(a.class_values[r]) if r in classes else 1)
-            for r in unit_residues(m)
-        },
-        exp_exc,
-    )
+    pinned = dict.fromkeys(support(m), 1)
+    pinned.update((p, x_at(p)) for p in want)
+    exp = ExpMap(m, {r: over.get(r, 1) for r in units}, pinned)
     fam = Family(1, dominated, exp)
     return Sieve((), (fam,)).normalize()
 

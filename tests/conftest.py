@@ -20,6 +20,7 @@ from steinitz import (
     Supernatural,
     unit_residues,
 )
+from steinitz._primes import support
 
 MODULI = (1, 2, 3, 4, 6, 12)
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -56,6 +57,18 @@ def with_exception(s, p, v):
     exc = dict(em.exceptions)
     exc[p] = v
     return Supernatural(ExpMap(em.modulus, dict(em.class_values), exc))
+
+
+def written_at(x, m2):
+    """An ExpMap or PrimeSet spelled out at the multiple m2 of its modulus."""
+    units = unit_residues(m2)
+    if isinstance(x, PrimeSet):
+        classes = frozenset(r for r in units if r % x.modulus in x.classes)
+        members = frozenset(q for q in support(m2) if x.contains(q))
+        return PrimeSet(m2, classes, x.include | members, x.exclude)
+    exc = {q: x.value_at(q) for q in support(m2)}
+    exc.update(x.exceptions)
+    return ExpMap(m2, {r: x.class_values[r % x.modulus] for r in units}, exc)
 
 
 def equivalent_variant(rng, s):

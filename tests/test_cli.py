@@ -26,6 +26,12 @@ def test_eval_echoes_canonical_form():
     assert run("eval", "sinf") == (0, "sinf", "")
     assert run("eval", "one") == (0, "one", "")
     assert run("eval", "one ; default 2") == (0, "one ; default 2", "")
+    # equal values print one literal, at the minimal modulus
+    assert run("eval", "2^1 * 3^1 ; default {1:1, 5:1, 7:1, 11:1} mod 12") == (
+        0,
+        "one ; default 1",
+        "",
+    )
 
 
 def test_eval_roundtrip_randomized(rng):
@@ -45,6 +51,9 @@ def test_arithmetic_verbs():
     assert run("divides", "2^1 * 3^1", "2^4 * 3^2 * 5^1") == (0, "true", "")
     assert run("lcm", "2^inf * 3^5", "2^3 * 7^1") == (0, "2^inf * 3^5 * 7^1", "")
     assert run("mul", "2^1 * 3^1", "2^1 * 5^1") == (0, "2^2 * 3^1 * 5^1", "")
+    assert run(
+        "mul", "3^1 ; default {1:1, 2:1} mod 3", "2^1 ; default {1:1, 3:1} mod 4"
+    ) == (0, "one ; default 2", "")
     assert run("equiv", "2^4 * 3^2 * 5^1", "one") == (0, "true", "")
     assert run("wdiv", "one ; default 1", "one ; default 2") == (0, "true", "")
     assert run("infsupp", "2^inf * 3^4") == (0, "{2}", "")
@@ -150,6 +159,16 @@ def test_exit_code_2_parse_errors():
     code, _, err = run("eval", "2^2 * 2^3")
     assert code == 2
     assert err == "parse error: prime 2 listed twice (at position 6)"
+    # a scale given as a separate argument is parsed like any literal
+    assert run("bz", "tofrac", "abc", "3^1") == (
+        2,
+        "",
+        "parse error: expected a scale (at position 0)",
+    )
+    code, _, err = run("cone", "iso", "1", "2^inf", "5x", "2^inf")
+    assert code == 2 and err.startswith("parse error:")
+    code, _, err = run("oracle", "add-closed", "sieve(2)", "--pair", "1.5", "2^inf")
+    assert code == 2 and err.startswith("parse error:")
 
 
 def test_exit_code_2_usage_errors():

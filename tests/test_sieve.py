@@ -23,7 +23,7 @@ from steinitz import (
 )
 from steinitz.cli import parse_sieve
 
-from conftest import admissible_pair, rand_family, rand_sieve
+from conftest import admissible_pair, rand_family, rand_sieve, written_at
 
 N_WINDOW = 400
 
@@ -163,6 +163,22 @@ def test_sieve_str_roundtrip(rng):
     for _ in range(120):
         s = rand_sieve(rng)
         assert parse_sieve(str(s)) == s, str(s)
+
+
+def test_families_and_sieves_hash_structurally(rng):
+    for _ in range(60):
+        f = rand_family(rng)
+        k = rng.choice((2, 3, 5))
+        g = Family(
+            f.cofactor,
+            written_at(f.primes, k * f.primes.modulus),
+            written_at(f.exponents, k * f.exponents.modulus),
+        )
+        assert (g, hash(g)) == (f, hash(f))
+        s = Sieve((6,), (f,)).normalize()
+        t = Sieve((6,), (g,)).normalize()
+        assert (t, hash(t)) == (s, hash(s))
+        assert len({s, t}) == 1
 
 
 # ------------------------------------------------------ numerical monoids

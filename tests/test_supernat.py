@@ -8,6 +8,7 @@ times; a window verdict on that range decides the classwise tail.
 """
 
 import math
+from functools import reduce
 
 import pytest
 
@@ -23,7 +24,7 @@ from steinitz import (
 from steinitz._primes import primes_upto
 from steinitz.cli import parse_supernatural
 
-from conftest import equivalent_variant, rand_primeset, rand_supernatural
+from conftest import equivalent_variant, rand_primeset, rand_supernatural, written_at
 
 WINDOW = tuple(primes_upto(2000))
 TAIL = tuple(p for p in WINDOW if p >= 200)
@@ -228,6 +229,33 @@ def test_semantic_equality_across_moduli():
     assert not (a == Supernatural.from_classes(4, {1: 3, 3: 2}, {2: 0}))
 
 
+def test_written_modulus_does_not_matter(rng):
+    # one value, whatever multiple of its period it is written at: equal,
+    # the same hash, the same literal, one element of a set
+    for _ in range(80):
+        k = rng.choice((2, 3, 5, 6, 35))
+        x = rand_supernatural(rng)
+        y = Supernatural(written_at(x.exps, k * x.exps.modulus))
+        assert (y, hash(y), str(y)) == (x, hash(x), str(x))
+        assert (y.exps, hash(y.exps)) == (x.exps, hash(x.exps))
+        assert len({x, y}) == 1
+        ps = rand_primeset(rng)
+        qs = written_at(ps, k * ps.modulus)
+        assert (qs, hash(qs), str(qs)) == (ps, hash(ps), str(ps))
+        assert len({ps, qs}) == 1
+
+
+def test_constant_maps_reduce_to_modulus_one():
+    # exponent 1 everywhere, written at each prime modulus from 3 to 17
+    ops = [
+        Supernatural.from_classes(q, {r: 1 for r in range(1, q)}, {q: 1})
+        for q in (3, 5, 7, 11, 13, 17)
+    ]
+    total = reduce(Supernatural.lcm, ops)
+    assert total.exps.modulus == 1
+    assert total == Supernatural.from_exponents({}, default=1)
+
+
 # ---------------------------------------------------------------- PrimeSet
 
 
@@ -236,7 +264,7 @@ def test_primeset_str_forms():
     assert str(PrimeSet.empty()) == "{}"
     assert str(PrimeSet.of(2, 3, 11)) == "{2,3,11}"
     assert str(PrimeSet(4, frozenset({1, 3}), frozenset(), frozenset())) == (
-        "classes(1,3 mod 4)"
+        "all - {2}"
     )
     full = PrimeSet(4, frozenset({1}), frozenset({2}), frozenset({5, 13}))
     assert str(full) == "classes(1 mod 4) + {2} - {5,13}"
