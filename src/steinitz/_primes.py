@@ -23,7 +23,13 @@ def primes_upto(bound: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-@lru_cache(maxsize=None)
+# Cache limits: a long-lived process must not grow without bound.  2^16
+# entries hold the benchmark's working sets (at most ~17k factorizations,
+# a few dozen primality tests) with room to spare.
+CACHE_LIMIT = 1 << 16
+
+
+@lru_cache(maxsize=CACHE_LIMIT)
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -40,7 +46,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_LIMIT)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
     if n < 1:

@@ -578,7 +578,11 @@ def _h_oracle(args):
         ]
         for a, a2 in rep.rank_one.unresolved:
             lines.append(f"unresolved: {a} {a2}")
-        witness = {"unresolved": [[str(a), str(a2)] for a, a2 in rep.rank_one.unresolved]}
+        witness = {
+            "unresolved": [[str(a), str(a2)] for a, a2 in rep.rank_one.unresolved],
+            "steps": rep.rank_one.steps,
+            "limit": args.bound,
+        }
         return (0 if ok else 4), ("verified" if ok else "unresolved"), witness, "\n".join(lines)
     if args.action == "verify-member":
         s = _strict_supernatural(args.value)

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Sequence
+from itertools import compress
+from math import gcd, lcm
+from typing import Callable, Iterator, Mapping, Sequence
 
-from ._primes import factorize
-from .cones import BZPair, cone_contains, cone_enumerate
+from ._primes import factorize, primes_upto
+from .cones import BZPair, cone_enumerate
 from .errors import ConstructionStuck
 from .sieve import Sieve
-from .supernat import Supernatural, int_divides
+from .supernat import INF, Exp, Supernatural
 from .topology import PointClass, _as_supernatural
 
 
@@ -53,58 +54,98 @@ class TruncatedCone:
 
     elements lists every member whose reduced numerator and denominator
     fit the bounds; membership beyond the window is answered by the
-    carried predicate (rank-one witnesses routinely fall outside).
+    carried predicate (rank-one witnesses routinely fall outside), which
+    takes a reduced fraction as its numerator and denominator ints.
     """
 
     elements: tuple[Fraction, ...]
     monoid: Sieve
     num_bound: int
     den_bound: int
-    member: Callable[[Fraction], bool] = field(repr=False, compare=False)
+    predicate: Callable[[int, int], bool] = field(repr=False, compare=False)
+
+    def member(self, q: Fraction) -> bool:
+        q = Fraction(q)
+        return self.predicate(q.numerator, q.denominator)
 
     @classmethod
     def from_pair(
         cls, pair: BZPair, monoid: Sieve, num_bound: int, den_bound: int
     ) -> "TruncatedCone":
+        """The window of the pair's cone.  Beyond it, u/v is a member when
+        the scale divides u and v divides the denominators, found by
+        trial division of v; denominator exponents are memoized per cone.
+        """
         elems = cone_enumerate(pair, num_bound, den_bound)
-        return cls(elems, monoid, num_bound, den_bound, lambda q: cone_contains(pair, q))
+        scale, exp = pair.scale, _Memo(pair.denominators.exps.value_at)
+
+        def mem(u: int, v: int) -> bool:
+            if u <= 0:
+                raise ValueError(f"need a positive rational, got {Fraction(u, v)}")
+            if u % scale:
+                return False
+            # trial division of v by ascending primes, stopping at the
+            # first prime whose exponent in v is too large
+            p = 2
+            while p * p <= v:
+                if v % p == 0:
+                    e = 0
+                    while v % p == 0:
+                        v //= p
+                        e += 1
+                    if e > exp[p]:
+                        return False
+                p += 1 if p == 2 else 2
+            return v == 1 or exp[v] >= 1
+
+        return cls(elems, monoid, num_bound, den_bound, mem)
 
     @classmethod
     def from_chain(
         cls, chain: ChainPoint, num_bound: int, den_bound: int
     ) -> "TruncatedCone":
+        """The window of the chain's union of levels, read off one
+        membership table of the monoid up to num_bound times the top
+        level; the predicate looks larger values up in the monoid."""
         levels = chain.levels()
+        has = _Lookup(chain.monoid, num_bound * levels[-1])
         seen = set()
         for l in levels:
-            for c in chain.monoid.members_upto(num_bound * l):
-                q = Fraction(c, l)
-                if q.numerator <= num_bound and q.denominator <= den_bound:
-                    seen.add(q)
+            for c in compress(range(num_bound * l + 1), has.table):
+                g = gcd(c, l)
+                if c // g <= num_bound and l // g <= den_bound:
+                    seen.add((c // g, l // g))
 
-        def mem(q: Fraction) -> bool:
-            for l in levels:
-                x = q * l
-                if x.denominator == 1 and x >= 1 and chain.monoid.contains(int(x)):
-                    return True
-            return False
+        def mem(u: int, v: int) -> bool:
+            return u > 0 and any(u * l % v == 0 and has(u * l // v) for l in levels)
 
-        return cls(tuple(sorted(seen)), chain.monoid, num_bound, den_bound, mem)
+        elems = tuple(sorted(Fraction(u, v) for u, v in seen))
+        return cls(elems, chain.monoid, num_bound, den_bound, mem)
 
     @classmethod
     def from_elements(
         cls, elems: Sequence[Fraction], monoid: Sieve, num_bound: int, den_bound: int
     ) -> "TruncatedCone":
         s = frozenset(Fraction(e) for e in elems)
-        return cls(tuple(sorted(s)), monoid, num_bound, den_bound, lambda q: q in s)
+        pairs = frozenset((q.numerator, q.denominator) for q in s)
+        return cls(
+            tuple(sorted(s)), monoid, num_bound, den_bound, lambda u, v: (u, v) in pairs
+        )
 
 
 @dataclass(frozen=True)
 class RankOneReport:
-    """Per-pair witnesses that any two elements share a lower element."""
+    """Per-pair witnesses that any two elements share a lower element.
+
+    steps counts the candidates c walked over all pairs: c // step for a
+    pair with a witness (1 on the diagonal), search_bound // step for an
+    unresolved one.
+    """
 
     verified: bool
     witnesses: tuple[tuple[Fraction, Fraction, Fraction, int, int], ...]
     unresolved: tuple[tuple[Fraction, Fraction], ...]
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -129,45 +170,56 @@ def check_point_conditions(
     forced arithmetic progression for c smallest-first, so reports are
     deterministic; pairs with no witness within the budget are listed
     as unresolved, not failed.
+
+    The walk order and the report are those of the plain walk over
+    Fractions and Sieve.contains; only the work per step is less.  The
+    walk is in integers: c and c' are looked up in one membership table
+    of search_bound bytes (at most TABLE_CAP), values beyond it
+    periodically for a monoid without families and otherwise through a
+    memo of Sieve.contains kept for this call, and b = a/c goes to the
+    cone's predicate as a reduced numerator and denominator.  Only that
+    memo, for a monoid with families, reaches the global factorize
+    cache.
     """
     elems = cone.elements
     ms = cone.monoid.members_upto(200)[:8]
+    # a*c and a*c' share a's denominator, so compare numerators
     free = all(
-        a * c != a * cp
+        a.numerator * c != a.numerator * cp
         for a in elems[:8]
         for i, c in enumerate(ms)
         for cp in ms[i + 1 :]
     )
+    ok = _Lookup(cone.monoid, min(search_bound, TABLE_CAP), one=True)
+    table, above, top, test = ok.table, ok.above, ok.bound, cone.predicate
     wits = []
     unres = []
-    for i in range(len(elems)):
-        for j in range(i, len(elems)):
-            a, a2 = elems[i], elems[j]
-            if i == j:
-                wits.append((a, a2, a, 1, 1))
-                continue
-            cross1 = a.numerator * a2.denominator
-            cross2 = a2.numerator * a.denominator
+    steps = 0
+    for i, a in enumerate(elems):
+        an, ad = a.numerator, a.denominator
+        wits.append((a, a, a, 1, 1))
+        steps += 1
+        for a2 in elems[i + 1 :]:
+            cross1 = an * a2.denominator
+            cross2 = a2.numerator * ad
             g = gcd(cross1, cross2)
             # c must be a multiple of step or c' = a2*c/a is not integral
             step, ratio = cross1 // g, cross2 // g
-            c, c2 = step, ratio
-            found = None
-            while c <= search_bound:
-                if (c == 1 or cone.monoid.contains(c)) and (
-                    c2 == 1 or cone.monoid.contains(c2)
-                ):
-                    b = a / c
-                    if cone.member(b):
-                        found = (a, a2, b, c, c2)
-                        break
-                c += step
+            c2 = 0
+            for c in range(step, search_bound + 1, step):
                 c2 += ratio
-            if found is None:
-                unres.append((a, a2))
+                if (table[c] if c <= top else above[c]) and (
+                    table[c2] if c2 <= top else above[c2]
+                ):
+                    g = gcd(an, c)
+                    if test(an // g, ad * c // g):
+                        wits.append((a, a2, Fraction(an // g, ad * c // g), c, c2))
+                        steps += c // step
+                        break
             else:
-                wits.append(found)
-    report = RankOneReport(not unres, tuple(wits), tuple(unres))
+                unres.append((a, a2))
+                steps += search_bound // step
+    report = RankOneReport(not unres, tuple(wits), tuple(unres), steps)
     return PointReport(free, report)
 
 
@@ -192,31 +244,49 @@ def verify_member_decision(
     the sieve.  Scanning n ascending and witnesses c ascending keeps
     the refuting divisor, when one exists within the bounds, the
     smallest one.
+
+    The scan order and the evidence are those of the plain scan that
+    factors every n and c.  The divisors of s come from a table of
+    factor_bound bytes, cleared at the multiples of p^(e+1) for each
+    prime p of finite exponent e in s, and past it from tables of
+    doubling size, as far as the scan gets.  When the last completing
+    c fails for n, n is factored (once, by trial division) and the next
+    c is read off a copy of the first table cleared at the multiples of
+    p^(e-k+1) for each p^k exactly dividing n.  The candidates come
+    from the sieve's membership table and s's exponents from a memo
+    kept for this call; no global cache is used.
     """
     s = _as_supernatural(x)
     if sieve.contains(1):
         raise ValueError("the full sieve admits every point; nothing to check")
     cands = sieve.members_upto(factor_bound)
+    exp = _Memo(s.exps.value_at)
+    divides = _divisor_table(max(factor_bound, 1), exp)
     last: int | None = None
+    last_fac: tuple[tuple[int, int], ...] = ()
 
-    def completes(c: int, nfac: dict[int, int]) -> bool:
-        need = dict(factorize(c))
-        for q, e in nfac.items():
-            need[q] = need.get(q, 0) + e
-        return all(e <= s.exps.value_at(q) for q, e in need.items())
+    def completes(n: int) -> bool:
+        # n | s already, so c*n | s holds iff it holds at the primes of c
+        for q, e in last_fac:
+            while n % q == 0:
+                n //= q
+                e += 1
+            if e > exp[q]:
+                return False
+        return True
 
-    for n in range(1, div_bound + 1):
-        if not int_divides(n, s):
+    for n in _divisors(div_bound, exp, divides):
+        if last is not None and completes(n):
             continue
-        nfac = dict(factorize(n))
-        if last is not None and completes(last, nfac):
-            continue
-        for c in cands:
-            if completes(c, nfac):
-                last = c
-                break
-        else:
+        room = divides[: factor_bound + 1]
+        for q, k in _factor(n):
+            e = exp[q]
+            if e != INF and (d := _power_upto(q, e - k + 1, factor_bound)):
+                _strike(room, d)
+        last = next((c for c in cands if room[c]), None)
+        if last is None:
             return MemberEvidence(False, n)
+        last_fac = _factor(last)
     return MemberEvidence(True, None)
 
 
@@ -244,7 +314,10 @@ def chain_from_points(
     The first seed is rescaled to 1; each later uncovered seed extends
     the chain by the smallest multiple of the current stage that both
     divides into the monoid-or-one and turns the seed into a
-    monoid-or-one numerator.  Deterministic by the smallest-first walk.
+    monoid-or-one numerator.  Deterministic by the smallest-first walk,
+    which runs in integers over one membership table of search_bound
+    bytes (at most TABLE_CAP); values beyond it are read periodically
+    or through a memo kept for this call, as in check_point_conditions.
     """
     seeds = [Fraction(q) for q in seeds]
     if not seeds:
@@ -252,33 +325,117 @@ def chain_from_points(
     for q in seeds:
         if q <= 0:
             raise ValueError(f"need positive seeds, got {q}")
-    scale = 1 / seeds[0]
-    rescaled = [q * scale for q in seeds]
+    has = _Lookup(monoid, min(search_bound, TABLE_CAP), one=True)
+    first = seeds[0]
     chain: list[int] = []
-
-    def covered(q: Fraction) -> bool:
-        for l in [1] + chain:
-            x = q * l
-            if x.denominator == 1 and x >= 1 and (
-                x == 1 or monoid.contains(int(x))
-            ):
-                return True
-        return False
-
-    for q in rescaled:
-        if covered(q):
+    for seed in seeds:
+        q = seed / first
+        u, v = q.numerator, q.denominator
+        if any(u * l % v == 0 and has(u * l // v) for l in [1] + chain):
             continue
         base = chain[-1] if chain else 1
-        step = base * q.denominator // gcd(base, q.denominator)
-        t = step
-        while t <= search_bound:
-            grow = t // base
-            lifted = q * t
-            if t != base and (grow == 1 or monoid.contains(grow)):
-                if lifted == 1 or monoid.contains(int(lifted)):
-                    chain.append(t)
-                    break
-            t += step
+        step = base * v // gcd(base, v)
+        for t in range(step, search_bound + 1, step):
+            if t != base and has(t // base) and has(u * (t // v)):
+                chain.append(t)
+                break
         else:
-            raise ConstructionStuck(q / scale)
+            raise ConstructionStuck(seed)
     return ChainPoint(tuple(chain), monoid)
+
+
+# plain trial division: the walks factor rarely and must not fill the
+# global factorize cache
+_factor = factorize.__wrapped__
+
+# The largest table a walk builds up front.  A walk may stop at its first
+# candidate, so a large search bound must not cost its size in memory
+# before the first step; values above the table are looked up one by one.
+TABLE_CAP = 1 << 20
+
+
+class _Memo(dict):
+    """The values of fn, each computed on first lookup."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Periodic:
+    """Membership in a sieve without families, which is periodic modulo
+    the lcm of its generators: n is read at n % period + period."""
+
+    __slots__ = ("table", "period")
+
+    def __init__(self, table: bytearray, period: int):
+        self.table, self.period = table, period
+
+    def __getitem__(self, n: int) -> bool:
+        return self.table[n % self.period + self.period]
+
+
+class _Lookup:
+    """Sieve membership for one walk: a table up to bound (at least 1).
+
+    Above the table, a sieve without families whose table holds two
+    periods is read periodically; any other sieve goes to a memo of
+    Sieve.contains kept for the walk.  With one=True, 1 counts as a
+    member too (the walks' monoid-or-one); the periodic reads start at
+    the period, so they never see that entry.
+    """
+
+    def __init__(self, sieve: Sieve, bound: int, one: bool = False):
+        self.bound = max(bound, 1)
+        self.table = sieve.membership_table(self.bound)
+        gens = sieve.finite_gens
+        period = lcm(*gens) if gens and not sieve.families else 0
+        if 0 < 2 * period <= self.bound:
+            self.above = _Periodic(self.table, period)
+        else:
+            self.above = _Memo(sieve.contains)
+        if one:
+            self.table[1] = 1
+
+    def __call__(self, n: int) -> bool:
+        return self.table[n] if n <= self.bound else self.above[n]
+
+
+def _power_upto(p: int, k: int, bound: int) -> int:
+    """p**k when it is at most bound, else 0 (never computes a huge power)."""
+    return p**k if k < bound.bit_length() and p**k <= bound else 0
+
+
+def _strike(table: bytearray, d: int) -> None:
+    """Clear the table at the multiples of d."""
+    table[d::d] = bytes((len(table) - 1) // d)
+
+
+def _divisor_table(bound: int, exp: Mapping[int, Exp]) -> bytearray:
+    """table[n] == 1 iff n divides the supernatural number, for 1 <= n <= bound."""
+    table = bytearray(b"\x01") * (bound + 1)
+    table[0] = 0
+    for p in primes_upto(bound):
+        e = exp[p]
+        if e != INF and (d := _power_upto(p, e + 1, bound)):
+            _strike(table, d)
+    return table
+
+
+def _divisors(bound: int, exp: Mapping[int, Exp], table: bytearray) -> Iterator[int]:
+    """The n <= bound dividing the supernatural number, ascending.
+
+    Read off the given divisor table first, then off tables of doubling
+    size, so memory follows how far the scan gets, not the bound.
+    """
+    done = 0
+    while done < bound:
+        top = min(len(table) - 1, bound)
+        yield from compress(range(done + 1, top + 1), memoryview(table)[done + 1 :])
+        done = top
+        if done < bound:
+            table = _divisor_table(min(2 * done, bound), exp)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable
 
@@ -145,8 +146,28 @@ class Sieve:
         nf = dict(factorize(n))
         return any(f.covers(nf) for f in self.families)
 
+    def membership_table(self, bound: int) -> bytearray:
+        """table[n] == 1 iff n is in the sieve, for 1 <= n <= bound.
+
+        Marks the multiples of each finite generator and of each family
+        instance cofactor * p^e(p) for the member primes p <= bound //
+        cofactor; table[0] is 0.  Costs bound + 1 bytes and no factoring.
+        """
+        table = bytearray(max(bound, 0) + 1)
+        gens = [g for g in self.finite_gens if g <= bound]
+        for f in self.families:
+            c = f.cofactor
+            for p in filter(f.primes.contains, primes_upto(bound // c)):
+                e = int(f.exponents.value_at(p))
+                # e < bit_length keeps a huge exponent from building a huge power
+                if e < bound.bit_length() and c * p**e <= bound:
+                    gens.append(c * p**e)
+        for g in gens:
+            table[g::g] = b"\x01" * (bound // g)
+        return table
+
     def members_upto(self, bound: int) -> list[int]:
-        return [n for n in range(1, bound + 1) if self.contains(n)]
+        return list(compress(range(bound + 1), self.membership_table(bound)))
 
     def is_full(self) -> bool:
         return self.contains(1)
@@ -242,7 +263,11 @@ class Sieve:
 # ---------------------------------------------------------------------------
 # Numerical monoids (additively closed) and their sieve of multiples
 
+# Tables kept per generator tuple, the oldest dropped first past 128 tuples,
+# so a long-lived process keeps a bounded number of them (the benchmark's
+# small monoids use about 70).
 _rep_tables: dict[tuple[int, ...], bytearray] = {}
+_REP_TABLES_LIMIT = 128
 
 
 def _rep_table(gens: tuple[int, ...], bound: int) -> bytearray:
@@ -256,6 +281,9 @@ def _rep_table(gens: tuple[int, ...], bound: int) -> bytearray:
                 if g <= i and tbl[i - g]:
                     tbl[i] = 1
                     break
+        _rep_tables.pop(gens, None)
+        if len(_rep_tables) >= _REP_TABLES_LIMIT:
+            del _rep_tables[next(iter(_rep_tables))]
         _rep_tables[gens] = tbl
     return tbl
 

@@ -48,7 +48,9 @@ def fmt_exp(v: Exp) -> str:
     return "inf" if v == INF else str(v)
 
 
-@lru_cache(maxsize=None)
+# 128 moduli: folds over moduli up to 255255 touch about 70 distinct ones;
+# one entry can hold ~10^5 residues, so the limit also caps memory.
+@lru_cache(maxsize=128)
 def unit_residues(modulus: int) -> tuple[int, ...]:
     """Residues coprime to the modulus; (0,) when the modulus is 1."""
     return tuple(r for r in range(modulus) if gcd(r, modulus) == 1)

@@ -44,6 +44,19 @@ class PointClass:
             return NotImplemented
         return self.rep.equivalent(other.rep)
 
+    def __hash__(self):
+        # equivalent representatives have the same canonical class values;
+        # at the other primes they agree on whether the exponent is
+        # infinite, so key on the primes where that departs from the class
+        e = self.rep.exps
+        m, values = e.modulus, e.class_values
+        departs = frozenset(
+            p
+            for p, v in e.exceptions.items()
+            if (v == INF) != (m % p != 0 and values[p % m] == INF)
+        )
+        return hash((m, frozenset(values.items()), departs))
+
     def __str__(self) -> str:
         return f"[{self.rep}]"
 

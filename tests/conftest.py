@@ -3,13 +3,15 @@
 Each test takes its own random.Random keyed off the test name, so the
 suite is reproducible and insensitive to test order.  Generators keep
 moduli and exception primes small; the window oracles in the test
-modules rely on exceptions staying below 30.
+modules rely on exceptions staying below 30.  The hypothesis strategy
+at the end reaches past them, for tests that do not use such windows.
 """
 
 import random
 import zlib
 
 import pytest
+from hypothesis import strategies as st
 
 from steinitz import (
     INF,
@@ -152,3 +154,20 @@ def incomparable_pair(rng, mode=None):
     x = Supernatural.from_classes(4, {1: 1, 3: 1}, {2: INF, 3: INF})
     y = Supernatural.from_classes(4, {1: 1, 3: 2 + rng.randrange(3)}, {2: INF})
     return x, y, mode
+
+
+# ------------------------------------------------- hypothesis, past the above
+
+PRIMES_TO_100 = tuple(p for p in range(2, 101) if all(p % d for d in range(2, p)))
+
+
+@st.composite
+def wide_supernaturals(draw):
+    """Moduli up to 60, exceptions at primes up to 100."""
+    exps = st.sampled_from((0, 0, 1, 2, 3, INF))
+    m = draw(st.integers(1, 60))
+    values = {r: draw(exps) for r in unit_residues(m)}
+    exc = draw(st.dictionaries(st.sampled_from(PRIMES_TO_100), exps, max_size=3))
+    for p in support(m):
+        exc.setdefault(p, draw(exps))
+    return Supernatural(ExpMap(m, values, exc))

@@ -248,6 +248,17 @@ def test_json_shapes():
     assert json.loads(out)["witness"] == {"exact": True}
     code, out, _ = run("oracle", "chain", "sieve(1)", "1,1/2,1/6", "--json")
     assert out == '{"verb": "oracle", "result": [2, 6], "witness": null}'
+    # the walk reports its length: (1/3, 1) walks all 30 candidates, and
+    # each diagonal pair takes its first
+    code, out, _ = run(
+        "oracle", "rank-one", "1", "3^inf", "sieve(2)", "--num", "1", "--den", "3",
+        "--bound", "30", "--json",
+    )
+    assert code == 4
+    assert out == (
+        '{"verb": "oracle", "result": "unresolved", "witness": '
+        '{"unresolved": [["1/3", "1"]], "steps": 32, "limit": 30}}'
+    )
 
 
 def test_json_keys_in_order(rng):

@@ -5,15 +5,24 @@ worked examples with every expected value derived by hand in the
 assertions rather than by calling back into the code under test.
 """
 
+import tracemalloc
 from fractions import Fraction
+from math import gcd
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import PRIMES_TO_100, wide_supernaturals
 from steinitz import (
     INF,
     BZPair,
     ChainPoint,
     ConstructionStuck,
+    ExpMap,
+    Family,
+    PrimeSet,
     Sieve,
     Supernatural,
     TruncatedCone,
@@ -21,10 +30,14 @@ from steinitz import (
     chain_from_points,
     check_point_conditions,
     cone_enumerate,
+    int_divides,
     member,
+    oracle,
     smonoid_to_sieve,
+    unit_residues,
     verify_member_decision,
 )
+from steinitz._primes import factorize
 
 
 def pow2_pair():
@@ -197,3 +210,289 @@ def test_chain_from_points_validation():
         chain_from_points(Sieve.full(), [])
     with pytest.raises(ValueError):
         chain_from_points(Sieve.full(), [Fraction(-1, 2)])
+
+
+# ------------------------------------------- the walks against their old form
+#
+# The walks run in integers over per-call membership tables.  Below are the
+# pre-table walks, kept verbatim apart from returning plain tuples, as a
+# reference: the new walks must return the same reports on drawn cones,
+# points and sieves.  Moduli reach 60 and exception primes 100, past the
+# conftest generators.
+
+WALK = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def reference_point_conditions(cone, search_bound=10_000):
+    elems = cone.elements
+    ms = cone.monoid.members_upto(200)[:8]
+    free = all(
+        a * c != a * cp
+        for a in elems[:8]
+        for i, c in enumerate(ms)
+        for cp in ms[i + 1 :]
+    )
+    wits = []
+    unres = []
+    for i in range(len(elems)):
+        for j in range(i, len(elems)):
+            a, a2 = elems[i], elems[j]
+            if i == j:
+                wits.append((a, a2, a, 1, 1))
+                continue
+            cross1 = a.numerator * a2.denominator
+            cross2 = a2.numerator * a.denominator
+            g = gcd(cross1, cross2)
+            # c must be a multiple of step or c' = a2*c/a is not integral
+            step, ratio = cross1 // g, cross2 // g
+            c, c2 = step, ratio
+            found = None
+            while c <= search_bound:
+                if (c == 1 or cone.monoid.contains(c)) and (
+                    c2 == 1 or cone.monoid.contains(c2)
+                ):
+                    b = a / c
+                    if cone.member(b):
+                        found = (a, a2, b, c, c2)
+                        break
+                c += step
+                c2 += ratio
+            if found is None:
+                unres.append((a, a2))
+            else:
+                wits.append(found)
+    return free, not unres, tuple(wits), tuple(unres)
+
+
+def reference_member_decision(s, sieve, div_bound=10_000, factor_bound=10_000):
+    cands = [n for n in range(1, factor_bound + 1) if sieve.contains(n)]
+    last = None
+
+    def completes(c, nfac):
+        need = dict(factorize(c))
+        for q, e in nfac.items():
+            need[q] = need.get(q, 0) + e
+        return all(e <= s.exps.value_at(q) for q, e in need.items())
+
+    for n in range(1, div_bound + 1):
+        if not int_divides(n, s):
+            continue
+        nfac = dict(factorize(n))
+        if last is not None and completes(last, nfac):
+            continue
+        for c in cands:
+            if completes(c, nfac):
+                last = c
+                break
+        else:
+            return False, n
+    return True, None
+
+
+def reference_chain_elements(chain, num_bound, den_bound):
+    seen = set()
+    for l in chain.levels():
+        for c in chain.monoid.members_upto(num_bound * l):
+            q = Fraction(c, l)
+            if q.numerator <= num_bound and q.denominator <= den_bound:
+                seen.add(q)
+    return tuple(sorted(seen))
+
+
+def reference_chain_member(chain, q):
+    for l in chain.levels():
+        x = q * l
+        if x.denominator == 1 and x >= 1 and chain.monoid.contains(int(x)):
+            return True
+    return False
+
+
+def reference_chain_stages(monoid, seeds, search_bound):
+    seeds = [Fraction(q) for q in seeds]
+    scale = 1 / seeds[0]
+    chain = []
+
+    def covered(q):
+        for l in [1] + chain:
+            x = q * l
+            if x.denominator == 1 and x >= 1 and (x == 1 or monoid.contains(int(x))):
+                return True
+        return False
+
+    for q in [q * scale for q in seeds]:
+        if covered(q):
+            continue
+        base = chain[-1] if chain else 1
+        step = base * q.denominator // gcd(base, q.denominator)
+        t = step
+        while t <= search_bound:
+            grow = t // base
+            lifted = q * t
+            if t != base and (grow == 1 or monoid.contains(grow)):
+                if lifted == 1 or monoid.contains(int(lifted)):
+                    chain.append(t)
+                    break
+            t += step
+        else:
+            return q / scale
+    return tuple(chain)
+
+
+@st.composite
+def families(draw):
+    m = draw(st.integers(1, 60))
+    classes = frozenset(draw(st.sets(st.sampled_from(unit_residues(m)))))
+    include = frozenset(draw(st.sets(st.sampled_from(PRIMES_TO_100), max_size=3)))
+    exclude = frozenset(draw(st.sets(st.sampled_from(PRIMES_TO_100), max_size=3))) - include
+    primes = PrimeSet(m, classes, include, exclude)
+    k = draw(st.sampled_from((1, 2, 3, 4, 6, 12)))
+    exp = ExpMap(
+        k,
+        {r: draw(st.integers(1, 3)) for r in unit_residues(k)},
+        {p: draw(st.integers(1, 3)) for p in (2, 3) if k % p == 0},
+    )
+    return Family(draw(st.sampled_from((1, 1, 2, 3, 4, 6, 10))), primes, exp)
+
+
+@st.composite
+def proper_sieves(draw):
+    gens = tuple(draw(st.lists(st.integers(2, 60), max_size=3)))
+    fams = tuple(draw(st.lists(families(), max_size=2)))
+    return Sieve(gens, fams)
+
+
+@st.composite
+def cones(draw):
+    monoid = draw(proper_sieves() | st.just(Sieve.full()))
+    kind = draw(st.sampled_from(("pair", "chain", "elements")))
+    num, den = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    if kind == "pair":
+        dens = draw(wide_supernaturals())
+        scale = 1
+        for p in draw(st.sets(st.sampled_from(PRIMES_TO_100[:6]), max_size=2)):
+            if dens.exponent(p) == 0:
+                scale *= p
+        return TruncatedCone.from_pair(BZPair(scale, dens), monoid, num * scale, den)
+    if kind == "chain":
+        stages, c = [], 1
+        for f in draw(st.lists(st.integers(2, 4), max_size=2)):
+            c *= f
+            stages.append(c)
+        return TruncatedCone.from_chain(ChainPoint(tuple(stages), monoid), num, den)
+    elems = draw(
+        st.lists(st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+                 min_size=1, max_size=8)
+    )
+    return TruncatedCone.from_elements(elems, monoid, num, den)
+
+
+def walked(report, bound):
+    """Candidates walked, counted from the report alone."""
+    total = 0
+    for a, a2, _b, c, _c2 in report.witnesses:
+        cross1, cross2 = a.numerator * a2.denominator, a2.numerator * a.denominator
+        total += c // (cross1 // gcd(cross1, cross2)) if a != a2 else 1
+    for a, a2 in report.unresolved:
+        cross1, cross2 = a.numerator * a2.denominator, a2.numerator * a.denominator
+        total += bound // (cross1 // gcd(cross1, cross2))
+    return total
+
+
+# a small table cap sends the walks past their tables, as a large bound would
+caps = st.sampled_from((oracle.TABLE_CAP, 2, 16, 64))
+
+
+@WALK
+@given(cones(), st.integers(0, 400), caps)
+def test_point_conditions_match_reference(cone, bound, cap):
+    with patch.object(oracle, "TABLE_CAP", cap):
+        rep = check_point_conditions(cone, bound)
+    got = (rep.free, rep.rank_one.verified, rep.rank_one.witnesses, rep.rank_one.unresolved)
+    assert got == reference_point_conditions(cone, bound)
+    assert rep.rank_one.steps == walked(rep.rank_one, bound)
+
+
+@WALK
+@given(wide_supernaturals(), proper_sieves(), st.integers(0, 300), st.integers(0, 300))
+def test_member_decision_matches_reference(s, sieve, div_bound, factor_bound):
+    ev = verify_member_decision(s, sieve, div_bound, factor_bound)
+    assert (ev.consistent, ev.witness) == reference_member_decision(
+        s, sieve, div_bound, factor_bound
+    )
+
+
+@WALK
+@given(proper_sieves() | st.just(Sieve.full()), st.lists(st.integers(2, 4), max_size=2),
+       st.integers(1, 5), st.integers(1, 30), st.lists(
+           st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12),
+           max_size=6), caps)
+def test_chain_walks_match_reference(monoid, factors, num, den, probes, cap):
+    stages, c = [], 1
+    for f in factors:
+        c *= f
+        stages.append(c)
+    chain = ChainPoint(tuple(stages), monoid)
+    cone = TruncatedCone.from_chain(chain, num, den)
+    assert cone.elements == reference_chain_elements(chain, num, den)
+    for q in probes:
+        assert cone.member(q) == reference_chain_member(chain, q)
+    if probes:
+        want = reference_chain_stages(monoid, probes, 200)
+        try:
+            with patch.object(oracle, "TABLE_CAP", cap):
+                got = chain_from_points(monoid, probes, 200).stages
+        except ConstructionStuck as exc:
+            got = exc.seed
+        assert got == want
+
+
+@WALK
+@given(proper_sieves() | st.just(Sieve.full()), st.integers(-2, 400))
+def test_membership_table_matches_contains(sieve, bound):
+    members = [n for n in range(1, bound + 1) if sieve.contains(n)]
+    assert sieve.members_upto(bound) == members
+    table = sieve.membership_table(bound)
+    assert len(table) == max(bound, 0) + 1 and table[0] == 0
+    # every small bound too, so an instance at the bound itself is met
+    for b in range(min(bound, 60)):
+        assert sieve.members_upto(b) == [n for n in members if n <= b]
+
+
+def test_negative_walk_leaves_factorize_cache_alone():
+    # criterion 7's negative case at its full bound, on the window {1/9, 1/3, 1}
+    pair = BZPair(1, Supernatural.from_exponents({3: INF}))
+    cone = TruncatedCone.from_pair(pair, Sieve.of(2), 1, 9)
+    before = factorize.cache_info().currsize
+    report = check_point_conditions(cone, search_bound=200_000)
+    assert not report.verified()
+    assert factorize.cache_info().currsize == before
+
+
+def test_large_bounds_cost_what_the_walk_uses():
+    # each walk stops at once; none may first build a table of its bound
+    tracemalloc.start()
+    try:
+        cone = TruncatedCone.from_pair(pow2_pair(), Sieve.of(2), 2, 4)
+        assert check_point_conditions(cone, search_bound=10**8).verified()
+        c = chain_from_points(Sieve.full(), [1, Fraction(1, 2)], search_bound=10**8)
+        assert c.stages == (2,)
+        ev = verify_member_decision(Supernatural.from_int(2), Sieve.of(4), div_bound=10**8)
+        assert (ev.consistent, ev.witness) == (False, 1)
+        assert tracemalloc.get_traced_memory()[1] < 4 * oracle.TABLE_CAP
+    finally:
+        tracemalloc.stop()
+
+
+def test_rank_one_steps_frozen():
+    # (1/2, 1): step 1, ratio 2, and c = 1 is allowed: c' = 2, b = 1/2
+    cone = TruncatedCone.from_pair(pow2_pair(), Sieve.of(2), 1, 4)
+    rep = check_point_conditions(cone, search_bound=50).rank_one
+    assert (Fraction(1, 2), Fraction(1), Fraction(1, 2), 1, 2) in rep.witnesses
+    # every one of the six pairs takes its first candidate
+    assert len(rep.witnesses) == 6 and rep.steps == 6
+    stuck = check_point_conditions(
+        TruncatedCone.from_pair(BZPair(1, Supernatural.from_exponents({3: INF})), Sieve.of(2), 1, 3),
+        search_bound=30,
+    ).rank_one
+    # (1/3, 1): step 1, so all 30 candidates, plus the two diagonal ones
+    assert stuck.unresolved == ((Fraction(1, 3), Fraction(1)),) and stuck.steps == 32

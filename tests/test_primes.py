@@ -73,3 +73,10 @@ def test_nth_primes():
     assert nth_primes(5) == [2, 3, 5, 7, 11]
     assert len(nth_primes(1000)) == 1000
     assert nth_primes(1000)[-1] == 7919
+
+
+def test_caches_are_bounded():
+    from steinitz.supernat import unit_residues
+
+    for cached in (is_prime, factorize, support, unit_residues):
+        assert cached.cache_info().maxsize is not None, cached

@@ -212,6 +212,18 @@ def test_smonoid_contains_matches_dp(rng):
             assert m.contains(n) == reach[n], (gens, n)
 
 
+def test_rep_tables_stay_bounded():
+    from steinitz import sieve as sieve_module
+
+    for a in range(2, 40):
+        for b in (a + 1, a + 2, a + 3, a + 5):
+            m = SMonoidPresentation((a, b))
+            assert m.contains(a * b) and not m.contains(1)
+    assert len(sieve_module._rep_tables) <= sieve_module._REP_TABLES_LIMIT
+    # an evicted table is rebuilt on demand
+    assert SMonoidPresentation((2, 3)).contains(7)
+
+
 def test_frobenius_frozen_and_brute():
     assert SMonoidPresentation((3, 5)).frobenius_number() == 7
     assert SMonoidPresentation((4, 7)).frobenius_number() == 17

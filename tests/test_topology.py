@@ -1,6 +1,8 @@
 """Point membership in basic opens, incomparability, and separation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinitz import (
     INF,
@@ -22,12 +24,15 @@ from steinitz import (
 from steinitz._primes import support
 
 from conftest import (
+    PRIMES_TO_100,
     admissible_pair,
     equivalent_variant,
     incomparable_pair,
     rand_multiple,
     rand_sieve,
     rand_supernatural,
+    wide_supernaturals,
+    written_at,
 )
 
 
@@ -121,6 +126,45 @@ def test_point_class_equality():
     assert a == b
     assert str(a) == "[2^4 * 3^2 * 5^1]"
     assert PointClass(Supernatural.all_infinite()) != a
+    assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+def retouched(s, primes, values):
+    """s with new finite exponents at the given primes where s is finite:
+    always an equivalent point."""
+    exc = dict(s.exps.exceptions)
+    for p, v in zip(primes, values):
+        if s.exponent(p) != INF:
+            exc[p] = v
+    return Supernatural(ExpMap(s.exps.modulus, dict(s.exps.class_values), exc))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(wide_supernaturals(), min_size=1, max_size=4),
+    st.lists(st.sampled_from(PRIMES_TO_100), max_size=4),
+    st.lists(st.integers(0, 5), min_size=4, max_size=4),
+    st.sampled_from((1, 2, 3, 5)),
+)
+def test_point_class_hash_agrees_with_equivalence(reps, primes, values, k):
+    points = []
+    for s in reps:
+        variant = retouched(s, primes, values)
+        wide = Supernatural(written_at(variant.exps, variant.exps.modulus * k))
+        for t in (s, variant, wide):
+            assert PointClass(t) == PointClass(s)
+            assert hash(PointClass(t)) == hash(PointClass(s))
+            points.append(PointClass(t))
+    for x in points:
+        for y in points:
+            if x == y:
+                assert hash(x) == hash(y)
+    # a set keeps one point per equivalence class
+    classes = []
+    for x in points:
+        if not any(x == y for y in classes):
+            classes.append(x)
+    assert len(set(points)) == len(classes)
 
 
 # ---------------------------------------------------------- comparability
