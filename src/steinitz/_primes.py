@@ -23,6 +23,11 @@ def primes_upto(bound: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
+def power_upto(p: int, k: int, bound: int) -> int:
+    """p**k when it is at most bound, else 0 (never computes a huge power)."""
+    return p**k if k < bound.bit_length() and p**k <= bound else 0
+
+
 # Cache limits: a long-lived process must not grow without bound.  2^16
 # entries hold the benchmark's working sets (at most ~17k factorizations,
 # a few dozen primality tests) with room to spare.

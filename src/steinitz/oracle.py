@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, Iterator, Mapping, Sequence
 
-from ._primes import factorize, primes_upto
+from ._primes import factorize, power_upto, primes_upto
 from .cones import BZPair, cone_enumerate
 from .errors import ConstructionStuck
 from .sieve import Sieve
@@ -74,10 +74,11 @@ class TruncatedCone:
     ) -> "TruncatedCone":
         """The window of the pair's cone.  Beyond it, u/v is a member when
         the scale divides u and v divides the denominators, found by
-        trial division of v; denominator exponents are memoized per cone.
+        trial division of v against the denominators' exponent map; the
+        predicate keeps no state.
         """
         elems = cone_enumerate(pair, num_bound, den_bound)
-        scale, exp = pair.scale, _Memo(pair.denominators.exps.value_at)
+        scale, exp = pair.scale, pair.denominators.exps.value_at
 
         def mem(u: int, v: int) -> bool:
             if u <= 0:
@@ -93,10 +94,10 @@ class TruncatedCone:
                     while v % p == 0:
                         v //= p
                         e += 1
-                    if e > exp[p]:
+                    if e > exp(p):
                         return False
                 p += 1 if p == 2 else 2
-            return v == 1 or exp[v] >= 1
+            return v == 1 or exp(v) >= 1
 
         return cls(elems, monoid, num_bound, den_bound, mem)
 
@@ -106,9 +107,10 @@ class TruncatedCone:
     ) -> "TruncatedCone":
         """The window of the chain's union of levels, read off one
         membership table of the monoid up to num_bound times the top
-        level; the predicate looks larger values up in the monoid."""
+        level; the predicate keeps that table and asks Sieve.contains,
+        unmemoized, about larger values."""
         levels = chain.levels()
-        has = _Lookup(chain.monoid, num_bound * levels[-1])
+        has = _Lookup(chain.monoid, num_bound * levels[-1], memo=False)
         seen = set()
         for l in levels:
             for c in compress(range(num_bound * l + 1), has.table):
@@ -139,7 +141,7 @@ class RankOneReport:
 
     steps counts the candidates c walked over all pairs: c // step for a
     pair with a witness (1 on the diagonal), search_bound // step for an
-    unresolved one.
+    unresolved one (none for a negative bound).
     """
 
     verified: bool
@@ -174,12 +176,11 @@ def check_point_conditions(
     The walk order and the report are those of the plain walk over
     Fractions and Sieve.contains; only the work per step is less.  The
     walk is in integers: c and c' are looked up in one membership table
-    of search_bound bytes (at most TABLE_CAP), values beyond it
-    periodically for a monoid without families and otherwise through a
-    memo of Sieve.contains kept for this call, and b = a/c goes to the
-    cone's predicate as a reduced numerator and denominator.  Only that
-    memo, for a monoid with families, reaches the global factorize
-    cache.
+    of search_bound bytes (at most TABLE_CAP), values beyond it by
+    Sieve.contains (through a memo kept for this call when the monoid
+    has families), and b = a/c goes to the cone's predicate as a reduced
+    numerator and denominator.  Only values beyond the table, in a
+    monoid with families, reach the global factorize cache.
     """
     elems = cone.elements
     ms = cone.monoid.members_upto(200)[:8]
@@ -208,8 +209,8 @@ def check_point_conditions(
             c2 = 0
             for c in range(step, search_bound + 1, step):
                 c2 += ratio
-                if (table[c] if c <= top else above[c]) and (
-                    table[c2] if c2 <= top else above[c2]
+                if (table[c] if c <= top else above(c)) and (
+                    table[c2] if c2 <= top else above(c2)
                 ):
                     g = gcd(an, c)
                     if test(an // g, ad * c // g):
@@ -218,7 +219,7 @@ def check_point_conditions(
                         break
             else:
                 unres.append((a, a2))
-                steps += search_bound // step
+                steps += max(search_bound, 0) // step
     report = RankOneReport(not unres, tuple(wits), tuple(unres), steps)
     return PointReport(free, report)
 
@@ -281,7 +282,7 @@ def verify_member_decision(
         room = divides[: factor_bound + 1]
         for q, k in _factor(n):
             e = exp[q]
-            if e != INF and (d := _power_upto(q, e - k + 1, factor_bound)):
+            if e != INF and (d := power_upto(q, e - k + 1, factor_bound)):
                 _strike(room, d)
         last = next((c for c in cands if room[c]), None)
         if last is None:
@@ -316,8 +317,8 @@ def chain_from_points(
     divides into the monoid-or-one and turns the seed into a
     monoid-or-one numerator.  Deterministic by the smallest-first walk,
     which runs in integers over one membership table of search_bound
-    bytes (at most TABLE_CAP); values beyond it are read periodically
-    or through a memo kept for this call, as in check_point_conditions.
+    bytes (at most TABLE_CAP); values beyond it are looked up as in
+    check_point_conditions.
     """
     seeds = [Fraction(q) for q in seeds]
     if not seeds:
@@ -366,48 +367,27 @@ class _Memo(dict):
         return value
 
 
-class _Periodic:
-    """Membership in a sieve without families, which is periodic modulo
-    the lcm of its generators: n is read at n % period + period."""
-
-    __slots__ = ("table", "period")
-
-    def __init__(self, table: bytearray, period: int):
-        self.table, self.period = table, period
-
-    def __getitem__(self, n: int) -> bool:
-        return self.table[n % self.period + self.period]
-
-
 class _Lookup:
     """Sieve membership for one walk: a table up to bound (at least 1).
 
-    Above the table, a sieve without families whose table holds two
-    periods is read periodically; any other sieve goes to a memo of
-    Sieve.contains kept for the walk.  With one=True, 1 counts as a
-    member too (the walks' monoid-or-one); the periodic reads start at
-    the period, so they never see that entry.
+    Above the table, values go to Sieve.contains: through a memo kept
+    for the walk when the sieve has families and memo is set, directly
+    otherwise (without families, contains only tests the generators).
+    With one=True, 1 counts as a member too (the walks' monoid-or-one).
     """
 
-    def __init__(self, sieve: Sieve, bound: int, one: bool = False):
+    def __init__(self, sieve: Sieve, bound: int, one: bool = False, memo: bool = True):
         self.bound = max(bound, 1)
         self.table = sieve.membership_table(self.bound)
-        gens = sieve.finite_gens
-        period = lcm(*gens) if gens and not sieve.families else 0
-        if 0 < 2 * period <= self.bound:
-            self.above = _Periodic(self.table, period)
+        if memo and sieve.families:
+            self.above = _Memo(sieve.contains).__getitem__
         else:
-            self.above = _Memo(sieve.contains)
+            self.above = sieve.contains
         if one:
             self.table[1] = 1
 
     def __call__(self, n: int) -> bool:
-        return self.table[n] if n <= self.bound else self.above[n]
-
-
-def _power_upto(p: int, k: int, bound: int) -> int:
-    """p**k when it is at most bound, else 0 (never computes a huge power)."""
-    return p**k if k < bound.bit_length() and p**k <= bound else 0
+        return self.table[n] if n <= self.bound else self.above(n)
 
 
 def _strike(table: bytearray, d: int) -> None:
@@ -421,7 +401,7 @@ def _divisor_table(bound: int, exp: Mapping[int, Exp]) -> bytearray:
     table[0] = 0
     for p in primes_upto(bound):
         e = exp[p]
-        if e != INF and (d := _power_upto(p, e + 1, bound)):
+        if e != INF and (d := power_upto(p, e + 1, bound)):
             _strike(table, d)
     return table
 

@@ -19,7 +19,7 @@ from itertools import compress
 from math import gcd, lcm
 from typing import Iterable
 
-from ._primes import factorize, primes_upto, support
+from ._primes import factorize, power_upto, primes_upto, support
 from .errors import NonCoprimeGenerators, UnsupportedProduct
 from .supernat import INF, ExpMap, PrimeSet, align, unit_residues
 
@@ -139,8 +139,11 @@ class Sieve:
     def contains(self, n: int) -> bool:
         if n < 1:
             raise ValueError(f"need a positive integer, got {n}")
-        if any(n % g == 0 for g in self.finite_gens):
-            return True
+        # a plain loop: the oracle's walks call this for every value
+        # above their tables, and a generator expression costs 4x more
+        for g in self.finite_gens:
+            if n % g == 0:
+                return True
         if not self.families:
             return False
         nf = dict(factorize(n))
@@ -158,10 +161,8 @@ class Sieve:
         for f in self.families:
             c = f.cofactor
             for p in filter(f.primes.contains, primes_upto(bound // c)):
-                e = int(f.exponents.value_at(p))
-                # e < bit_length keeps a huge exponent from building a huge power
-                if e < bound.bit_length() and c * p**e <= bound:
-                    gens.append(c * p**e)
+                if d := power_upto(p, int(f.exponents.value_at(p)), bound // c):
+                    gens.append(c * d)
         for g in gens:
             table[g::g] = b"\x01" * (bound // g)
         return table

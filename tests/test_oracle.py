@@ -496,3 +496,9 @@ def test_rank_one_steps_frozen():
     ).rank_one
     # (1/3, 1): step 1, so all 30 candidates, plus the two diagonal ones
     assert stuck.unresolved == ((Fraction(1, 3), Fraction(1)),) and stuck.steps == 32
+    # a negative bound walks no candidate: only the two diagonal steps
+    none = check_point_conditions(
+        TruncatedCone.from_pair(BZPair(1, Supernatural.from_exponents({3: INF})), Sieve.of(2), 1, 3),
+        search_bound=-5,
+    ).rank_one
+    assert none.unresolved == stuck.unresolved and none.steps == 2
