@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import add, sub
 
 from ._primes import factorize, support
 from .supernat import (
@@ -54,14 +56,14 @@ def frac_to_pair(f: FractionalSupernatural) -> BZPair:
     for p, k in neg.items():
         scale *= p ** k
     shift = ExpMap(1, {0: 0}, dict(neg))
-    exps = f.exps.combine(shift, lambda a, b: a + b)
+    exps = f.exps.combine(shift, add)
     return BZPair(scale, Supernatural(exps))
 
 
 def pair_to_frac(pair: BZPair) -> FractionalSupernatural:
     """Inverse of frac_to_pair: denominators / scale as an exponent map."""
     shift = ExpMap(1, {0: 0}, dict(factorize(pair.scale)))
-    exps = pair.denominators.exps.combine(shift, lambda a, b: a - b)
+    exps = pair.denominators.exps.combine(shift, sub)
     return FractionalSupernatural(exps)
 
 
@@ -81,7 +83,7 @@ def cone_enumerate(pair: BZPair, num_bound: int, den_bound: int) -> tuple[Fracti
         if not int_divides(v, pair.denominators):
             continue
         for u in range(pair.scale, num_bound + 1, pair.scale):
-            if Fraction(u, v).denominator == v:
+            if gcd(u, v) == 1:
                 out.append(Fraction(u, v))
     return tuple(sorted(out))
 

@@ -19,7 +19,7 @@ from ._primes import factorize, power_upto, primes_upto
 from .cones import BZPair, cone_enumerate
 from .errors import ConstructionStuck
 from .sieve import Sieve
-from .supernat import INF, Exp, Supernatural
+from .supernat import INF, Exp, Supernatural, divides_exponents
 from .topology import PointClass, _as_supernatural
 
 
@@ -74,8 +74,8 @@ class TruncatedCone:
     ) -> "TruncatedCone":
         """The window of the pair's cone.  Beyond it, u/v is a member when
         the scale divides u and v divides the denominators, found by
-        trial division of v against the denominators' exponent map; the
-        predicate keeps no state.
+        trial division of v (divides_exponents, as cone_enumerate tests
+        each denominator); the predicate keeps no state.
         """
         elems = cone_enumerate(pair, num_bound, den_bound)
         scale, exp = pair.scale, pair.denominators.exps.value_at
@@ -83,21 +83,7 @@ class TruncatedCone:
         def mem(u: int, v: int) -> bool:
             if u <= 0:
                 raise ValueError(f"need a positive rational, got {Fraction(u, v)}")
-            if u % scale:
-                return False
-            # trial division of v by ascending primes, stopping at the
-            # first prime whose exponent in v is too large
-            p = 2
-            while p * p <= v:
-                if v % p == 0:
-                    e = 0
-                    while v % p == 0:
-                        v //= p
-                        e += 1
-                    if e > exp(p):
-                        return False
-                p += 1 if p == 2 else 2
-            return v == 1 or exp(v) >= 1
+            return u % scale == 0 and divides_exponents(v, exp)
 
         return cls(elems, monoid, num_bound, den_bound, mem)
 

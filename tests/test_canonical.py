@@ -14,10 +14,17 @@ Three properties, for both kinds of map:
   - str round-trips through the CLI parsers;
   - construction is idempotent and its modulus is minimal: no prime of
     the modulus can be divided out without splitting some fibre.
+
+A fourth property checks the arithmetic and the relations at wide
+moduli (products of 3, 5, 7, 11 and 13, up to 15015, and one fold to
+255255) against the same plain evaluation.
 """
 
+import random
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm, prod
+from operator import add, and_, eq, le, or_
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -237,3 +244,118 @@ def test_primeset_canonical_form(pair):
     check_minimal(ps.classes.__contains__, ps.modulus)
     assert all(p % ps.modulus not in ps.classes for p in ps.include)
     assert all(p % ps.modulus in ps.classes for p in ps.exclude)
+
+
+# ------------------------------------------------ arithmetic at wide moduli
+
+WIDE_PRIMES = (3, 5, 7, 11, 13)
+WIDE_EXPS = (0, 1, 2, 3, INF)
+
+
+def random_spec(rng, m, period, exceptions, exps=WIDE_EXPS):
+    table = {r: rng.choice(exps) for r in units(period)}
+    exceptions = dict(exceptions)
+    for q in primes_of(m):
+        exceptions.setdefault(q, rng.choice(exps))
+    return MapSpec(m, {r: table[r % period] for r in units(m)}, exceptions)
+
+
+@st.composite
+def wide_specs(draw):
+    """A map at a product of primes from 3 to 13, its values varying over
+    the classes of a divisor of the modulus (often the modulus itself)."""
+    primes = sorted(draw(st.sets(st.sampled_from(WIDE_PRIMES))))
+    kept = draw(st.sets(st.sampled_from(primes))) if primes else set()
+    period = prod(primes) if draw(st.booleans()) else prod(kept)
+    exceptions = draw(
+        st.dictionaries(st.sampled_from(EXCEPTION_PRIMES), st.sampled_from(WIDE_EXPS), max_size=4)
+    )
+    return random_spec(draw(st.randoms(use_true_random=False)), prod(primes), period, exceptions)
+
+
+def combined(fn, x, y):
+    """The spec of fn(x, y) at lcm of the moduli, evaluated class by class
+    and prime by prime."""
+    m = lcm(x.modulus, y.modulus)
+    special = x.special() | y.special()
+    return MapSpec(
+        m,
+        {r: fn(x.on_class(r), y.on_class(r)) for r in units(m)},
+        {p: fn(x.at(p), y.at(p)) for p in special},
+    )
+
+
+def same_infinity(u, v):
+    return (u == INF) == (v == INF)
+
+
+def infinity_met(u, v):
+    return v == INF or u != INF
+
+
+def difference(u, v):
+    return u and not v
+
+
+def check_map(got, spec):
+    """got (an ExpMap) takes spec's value on every class of spec's modulus
+    and at every prime where either may leave its class value."""
+    k = got.modulus
+    assert spec.modulus % k == 0
+    assert all(got.class_values[r % k] == spec.on_class(r) for r in units(spec.modulus))
+    assert all(got.value_at(p) == spec.at(p) for p in spec.special() | set(got.exceptions))
+
+
+def check_arithmetic(x, y):
+    a, b = Supernatural(x.build()), Supernatural(y.build())
+    check_map(a.mul(b).exps, combined(add, x, y))
+    check_map(a.lcm(b).exps, combined(max, x, y))
+    m = lcm(x.modulus, y.modulus)
+    special = x.special() | y.special()
+
+    def holds(on_class, at_prime):
+        return all(on_class(x.on_class(r), y.on_class(r)) for r in units(m)) and all(
+            at_prime(x.at(p), y.at(p)) for p in special
+        )
+
+    assert a.divides(b) == holds(le, le)
+    assert a.equivalent(b) == holds(eq, same_infinity)
+    assert a.weakly_divides(b) == holds(le, infinity_met)
+    sa, sb = a.infinite_support(), b.infinite_support()
+    for got, fn in ((sa, lambda u, v: u), (sa.union(sb), or_), (sa.intersection(sb), and_), (sa.difference(sb), difference)):
+        k = got.modulus
+        assert m % k == 0
+        assert all(
+            (r % k in got.classes) == fn(x.on_class(r) == INF, y.on_class(r) == INF)
+            for r in units(m)
+        )
+        assert all(
+            got.contains(p) == fn(x.at(p) == INF, y.at(p) == INF)
+            for p in special | got.include | got.exclude
+        )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(wide_specs(), wide_specs())
+def test_arithmetic_at_wide_moduli(x, y):
+    check_arithmetic(x, y)
+
+
+def test_six_operand_fold_to_255255():
+    # finite class values, so that no operand's classes are absorbed by
+    # an infinite one and the fold keeps every prime of its modulus
+    rng = random.Random(255255)
+    operands = [
+        random_spec(rng, q, q, {rng.choice(EXCEPTION_PRIMES): INF}, exps=(0, 1, 2, 3))
+        for q in (3, 5, 7, 11, 13, 17)
+    ]
+    steps = (add, max, add, max, add)
+    spec = reduce(lambda acc, step: combined(step[0], acc, step[1]), zip(steps, operands[1:]), operands[0])
+    value = Supernatural(operands[0].build())
+    for step, x in zip(steps, operands[1:]):
+        y = Supernatural(x.build())
+        value = value.mul(y) if step is add else value.lcm(y)
+    assert value.exps.modulus == 255255 and len(value.exps.class_values) == 92160
+    check_map(value.exps, spec)
+    assert value.exps == spec.build()
+    check_arithmetic(spec, reduce(lambda acc, x: combined(max, acc, x), operands))

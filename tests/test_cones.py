@@ -1,15 +1,20 @@
 """The (scale, denominators) pair form and rank-one cone membership."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinitz import (
     INF,
     BZPair,
     ExpMap,
     FractionalSupernatural,
+    Sieve,
     Supernatural,
+    TruncatedCone,
     cone_contains,
     cone_enumerate,
     cones_isomorphic,
@@ -19,7 +24,7 @@ from steinitz import (
 )
 from steinitz._primes import factorize
 
-from conftest import SPARE_PRIMES, rand_supernatural
+from conftest import SPARE_PRIMES, rand_supernatural, wide_supernaturals
 
 
 def rand_fractional(rng):
@@ -135,6 +140,48 @@ def test_cone_enumerate_matches_brute(rng):
         assert got == cone_brute(pair, nb, db), (str(pair), nb, db)
         for q in got:
             assert cone_contains(pair, q)
+
+
+def divides_by_factorization(n, s):
+    return all(e <= s.exponent(p) for p, e in factorize(n))
+
+
+def cone_enumerate_by_fractions(pair, num_bound, den_bound):
+    # the enumeration as first written: factorize each denominator, and
+    # build a Fraction for each candidate
+    out = []
+    for v in range(1, den_bound + 1):
+        if not divides_by_factorization(v, pair.denominators):
+            continue
+        for u in range(pair.scale, num_bound + 1, pair.scale):
+            if Fraction(u, v).denominator == v:
+                out.append(Fraction(u, v))
+    return tuple(sorted(out))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(wide_supernaturals(), st.integers(1, 40), st.integers(1, 40), st.integers(1, 200))
+def test_cone_enumerate_matches_fraction_loop(dens, scale, num_bound, den_bound):
+    scale = prod(p**e for p, e in factorize(scale) if dens.exponent(p) == 0)
+    pair = BZPair(scale, dens)
+    assert cone_enumerate(pair, num_bound, den_bound) == cone_enumerate_by_fractions(
+        pair, num_bound, den_bound
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(wide_supernaturals(), st.integers(1, 10**6))
+def test_int_divides_matches_factorization(s, n):
+    assert int_divides(n, s) == divides_by_factorization(n, s)
+    assert int_divides(n * 2**40, s) == divides_by_factorization(n * 2**40, s)
+
+
+def test_from_pair_leaves_factorize_cache_alone():
+    pair, monoid = BZPair(1, Supernatural.from_exponents({2: INF})), Sieve.of(2)
+    factorize.cache_clear()  # else earlier tests may have cached 1..720 already
+    cone = TruncatedCone.from_pair(pair, monoid, 4, 720)
+    assert factorize.cache_info().currsize == 0
+    assert len(cone.elements) == 4 * 10 - 2 * 9  # v = 2^0..2^9, u = 1..4 coprime to v
 
 
 def test_cone_contains_matches_brute_membership(rng):

@@ -15,6 +15,7 @@ import pytest
 from steinitz import (
     INF,
     ExpMap,
+    FractionalSupernatural,
     PrimeSet,
     SearchBudgetExceeded,
     Supernatural,
@@ -211,6 +212,84 @@ def test_expmap_rejects_bad_keys():
 def test_supernatural_rejects_negative():
     with pytest.raises(ValueError):
         Supernatural.from_exponents({2: -1})
+
+
+WIDE = 255255
+WIDE_UNITS = unit_residues(WIDE)
+WIDE_PINNED = {q: 0 for q in (3, 5, 7, 11, 13, 17)}
+BAD_EXPONENTS = (True, False, 1.0, -INF, math.nan, "1", None)
+
+
+def raises_message(make, message):
+    with pytest.raises(ValueError) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+def test_expmap_names_the_first_bad_exponent():
+    for v in BAD_EXPONENTS:
+        raises_message(
+            lambda: ExpMap(12, {1: 0, 5: v, 7: INF, 11: v}, {2: 0, 3: 0}),
+            f"bad exponent {v!r} at class 5",
+        )
+        values = dict.fromkeys(WIDE_UNITS, 1)
+        values[WIDE_UNITS[-1]] = v
+        raises_message(
+            lambda: ExpMap(WIDE, values, WIDE_PINNED),
+            f"bad exponent {v!r} at class {WIDE_UNITS[-1]}",
+        )
+    for v in (2**70, INF):
+        assert ExpMap(12, {1: 0, 5: v, 7: 1, 11: v}, {2: 0, 3: 0}).class_values[5] == v
+        values = dict.fromkeys(WIDE_UNITS, 1)
+        values[WIDE_UNITS[-1]] = v
+        assert ExpMap(WIDE, values, WIDE_PINNED).class_values[WIDE_UNITS[-1]] == v
+
+
+def test_expmap_needs_exactly_the_unit_residues():
+    message = "class_values must cover exactly the unit residues mod 12"
+    for values in (
+        {1: 0, 5: 0, 7: 0},  # missing
+        {1: 0, 5: 0, 7: 0, 11: 0, 3: 0},  # extra
+        {1: 0, 5: 0, 7: 0, 3: 0},  # a non-unit in place of a unit
+        {1: 0, 5: 0, 7: 0, 13: 0},  # out of range
+    ):
+        raises_message(lambda: ExpMap(12, values, {2: 0, 3: 0}), message)
+    values = dict.fromkeys(WIDE_UNITS, 0)
+    del values[WIDE_UNITS[-1]]
+    raises_message(
+        lambda: ExpMap(WIDE, values, WIDE_PINNED),
+        f"class_values must cover exactly the unit residues mod {WIDE}",
+    )
+    values[0] = 0
+    raises_message(
+        lambda: ExpMap(WIDE, values, WIDE_PINNED),
+        f"class_values must cover exactly the unit residues mod {WIDE}",
+    )
+
+
+def test_negative_class_messages():
+    em = ExpMap(12, {1: 0, 5: -1, 7: 2, 11: -1}, {2: 0, 3: 0})
+    raises_message(lambda: Supernatural(em), "negative exponent -1 not allowed at class 5")
+    raises_message(
+        lambda: FractionalSupernatural(em),
+        "negative exponent -1 not allowed at class 5 (denominators must be finite products)",
+    )
+    raises_message(
+        lambda: Supernatural(ExpMap(1, {0: 0}, {7: 1, 5: -3})),
+        "negative exponent -3 not allowed at prime 5",
+    )
+    values = dict.fromkeys(WIDE_UNITS, INF)
+    values[WIDE_UNITS[-1]] = -4
+    raises_message(
+        lambda: Supernatural(ExpMap(WIDE, values, WIDE_PINNED)),
+        f"negative exponent -4 not allowed at class {WIDE_UNITS[-1]}",
+    )
+
+
+def test_unit_residues_match_gcd_definition():
+    for m in (*range(3001), WIDE):
+        assert unit_residues(m) == tuple(r for r in range(m) if math.gcd(r, m) == 1), m
+    assert len(unit_residues(WIDE)) == 92160
 
 
 def test_expmap_refined_preserves_values(rng):
