@@ -24,6 +24,11 @@ Exit codes: 0 success or true predicate, 1 false predicate (including a
 refuted membership claim), 2 parse or usage error, 3 unsupported or
 invalid operation, 4 inconclusive oracle search.  All output is
 deterministic; --json wraps it as {"verb", "result", "witness"}.
+
+The verbs that apply a method of one operand to another (divides, lcm,
+mul, equiv, wdiv, product, union) are one table, _BINARY, which builds
+their handler and their argument parsers.  Only the bz, cone and oracle
+verbs import the cones and oracle modules.
 """
 
 from __future__ import annotations
@@ -34,33 +39,11 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import islice
+from math import gcd
 
 from ._primes import is_prime, support
-from .cones import (
-    BZPair,
-    cone_contains,
-    cone_enumerate,
-    cones_isomorphic,
-    frac_to_pair,
-    pair_to_frac,
-)
-from .errors import (
-    ConstructionStuck,
-    NonCoprimeGenerators,
-    NotIncomparable,
-    NotSeparable,
-    ParseError,
-    SearchBudgetExceeded,
-    UnsupportedProduct,
-)
-from .oracle import (
-    ChainPoint,
-    TruncatedCone,
-    additively_closed,
-    chain_from_points,
-    check_point_conditions,
-    verify_member_decision,
-)
+from .errors import ConstructionStuck, ParseError, SteinitzError
 from .sieve import Family, Sieve, smonoid_contains, smonoid_to_sieve
 from .supernat import (
     INF,
@@ -68,7 +51,6 @@ from .supernat import (
     FractionalSupernatural,
     PrimeSet,
     Supernatural,
-    unit_residues,
 )
 from .topology import PointClass, incomparable, member, separating_sieves
 
@@ -85,8 +67,7 @@ def _tokenize(text: str):
         ch = text[i]
         if ch.isspace():
             i += 1
-            continue
-        if ch.isdigit():
+        elif ch.isdigit():
             j = i
             while j < n and text[j].isdigit():
                 j += 1
@@ -115,37 +96,45 @@ class _P:
     def peek(self):
         return self.toks[self.k]
 
-    def advance(self):
-        t = self.toks[self.k]
-        self.k += 1
-        return t
-
     def accept(self, kind: str, value: str | None = None):
         t = self.peek()
         if t[0] == kind and (value is None or t[1] == value):
-            return self.advance()
+            self.k += 1
+            return t
         return None
 
-    def expect(self, kind: str, what: str):
-        t = self.advance()
-        if t[0] != kind:
-            raise ParseError(f"expected {what}", t[2])
-        return t
-
-    def expect_name(self, word: str):
-        t = self.advance()
-        if t[0] != "name" or t[1] != word:
-            raise ParseError(f"expected '{word}'", t[2])
+    def expect(self, kind: str, value: str | None = None, what: str | None = None):
+        """accept(kind, value), or an error naming what was expected."""
+        t = self.accept(kind, value)
+        if t is None:
+            raise ParseError(f"expected {what or repr(value or kind)}", self.peek()[2])
         return t
 
     def expect_int(self, what: str = "an integer") -> tuple[int, int]:
-        t = self.expect("int", what)
+        t = self.expect("int", what=what)
         return int(t[1]), t[2]
 
-    def done(self):
-        t = self.peek()
-        if t[0] != "end":
-            raise ParseError("unexpected trailing input", t[2])
+    def items(self, item, close: str | None = None, sep: str = ",") -> list:
+        """item() once, then again after each sep.  With close, the list
+        may also be empty, and it ends with that symbol."""
+        if close is not None and self.accept(close):
+            return []
+        out = [item()]
+        while self.accept(sep):
+            out.append(item())
+        if close is not None:
+            self.expect(close)
+        return out
+
+
+def _whole(text: str, rule):
+    """rule applied to the tokens of text, which it must use up."""
+    p = _P(text)
+    v = rule(p)
+    t = p.peek()
+    if t[0] != "end":
+        raise ParseError("unexpected trailing input", t[2])
+    return v
 
 
 def _parse_exponent(p: _P, allow_negative: bool):
@@ -161,69 +150,65 @@ def _parse_exponent(p: _P, allow_negative: bool):
 
 
 def _parse_residue_map(p: _P, mod_inside: bool, allow_inf: bool, pos: int):
-    """'{' r:e, ... [mod M] '}' ['mod' M]; returns (modulus, class_values)."""
+    """'{' r:e, ... [mod M] '}' ['mod' M]; returns (modulus, class_values).
+
+    The checks cost what the literal lists: a gcd per listed residue,
+    and a walk up from 0 that stops at the sixth missing unit."""
     entries: dict[int, float | int] = {}
-    modulus = None
-    while True:
+
+    def entry():
         r, rpos = p.expect_int("a residue")
-        p.expect(":", "':'")
-        if allow_inf and p.peek()[:2] == ("name", "inf"):
-            p.advance()
+        p.expect(":")
+        if allow_inf and p.accept("name", "inf"):
             e: float | int = INF
         else:
             e, _ = p.expect_int("an exponent")
         if r in entries:
             raise ParseError(f"residue {r} listed twice", rpos)
         entries[r] = e
-        if p.accept(","):
-            continue
-        break
+
+    p.items(entry)
+    if not mod_inside:
+        p.expect("}")
+    p.expect("name", "mod")
+    modulus, _ = p.expect_int("a modulus")
     if mod_inside:
-        p.expect_name("mod")
-        modulus, _ = p.expect_int("a modulus")
-        p.expect("}", "'}'")
-    else:
-        p.expect("}", "'}'")
-        p.expect_name("mod")
-        modulus, _ = p.expect_int("a modulus")
+        p.expect("}")
     if modulus < 1:
         raise ParseError("modulus must be positive", pos)
-    units = set(unit_residues(modulus))
-    bad = set(entries) - units
+    bad = sorted(r for r in entries if not 0 <= r < modulus or gcd(r, modulus) != 1)
     if bad:
-        raise ParseError(
-            f"residues {sorted(bad)} are not units mod {modulus}", pos
-        )
-    missing = units - set(entries)
+        raise ParseError(f"residues {bad} are not units mod {modulus}", pos)
+    units = (r for r in range(modulus) if r not in entries and gcd(r, modulus) == 1)
+    missing = [str(r) for r in islice(units, 6)]
     if missing:
+        more = ", ..." if len(missing) > 5 else ""
         raise ParseError(
-            f"missing residues {sorted(missing)} mod {modulus}", pos
+            f"missing residues [{', '.join(missing[:5])}{more}] mod {modulus}", pos
         )
     return modulus, entries
 
 
-def parse_supernatural(text: str) -> Supernatural | FractionalSupernatural:
-    p = _P(text)
+def _supernatural_parts(p: _P):
+    """(exceptions, modulus, class_values) of a supernatural literal."""
     if p.accept("name", "sinf"):
-        p.done()
-        return Supernatural.all_infinite()
+        return {}, 1, {0: INF}
     exceptions: dict[int, float | int] = {}
+
+    def term():
+        base, pos = _parse_prime(p)
+        if base in exceptions:
+            raise ParseError(f"prime {base} listed twice", pos)
+        e: float | int = 1
+        if p.accept("^"):
+            e = _parse_exponent(p, allow_negative=True)
+        exceptions[base] = e
+
     if not p.accept("name", "one"):
-        while True:
-            base, pos = p.expect_int("a prime")
-            if not is_prime(base):
-                raise ParseError(f"{base} is not prime", pos)
-            if base in exceptions:
-                raise ParseError(f"prime {base} listed twice", pos)
-            e: float | int = 1
-            if p.accept("^"):
-                e = _parse_exponent(p, allow_negative=True)
-            exceptions[base] = e
-            if not p.accept("*"):
-                break
+        p.items(term, sep="*")
     modulus, class_values = 1, {0: 0}
     if p.accept(";"):
-        t = p.expect_name("default")
+        t = p.expect("name", "default")
         if p.accept("{"):
             modulus, class_values = _parse_residue_map(
                 p, mod_inside=False, allow_inf=True, pos=t[2]
@@ -231,7 +216,11 @@ def parse_supernatural(text: str) -> Supernatural | FractionalSupernatural:
         else:
             v = _parse_exponent(p, allow_negative=False)
             class_values = {0: v}
-    p.done()
+    return exceptions, modulus, class_values
+
+
+def parse_supernatural(text: str) -> Supernatural | FractionalSupernatural:
+    exceptions, modulus, class_values = _whole(text, _supernatural_parts)
     for q in support(modulus):
         if q not in exceptions:
             raise ParseError(
@@ -243,39 +232,29 @@ def parse_supernatural(text: str) -> Supernatural | FractionalSupernatural:
     return Supernatural(exps)
 
 
+def _parse_prime(p: _P) -> tuple[int, int]:
+    q, pos = p.expect_int("a prime")
+    if not is_prime(q):
+        raise ParseError(f"{q} is not prime", pos)
+    return q, pos
+
+
 def _parse_primeset_atom(p: _P) -> PrimeSet:
     t = p.peek()
     if p.accept("name", "all"):
         return PrimeSet.all_primes()
     if p.accept("{"):
-        primes = []
-        if not p.accept("}"):
-            while True:
-                q, pos = p.expect_int("a prime")
-                if not is_prime(q):
-                    raise ParseError(f"{q} is not prime", pos)
-                primes.append(q)
-                if p.accept(","):
-                    continue
-                p.expect("}", "'}'")
-                break
-        return PrimeSet.of(*primes)
+        return PrimeSet.of(*p.items(lambda: _parse_prime(p)[0], close="}"))
     if p.accept("name", "classes"):
-        p.expect("(", "'('")
-        residues = []
-        while True:
-            r, _ = p.expect_int("a residue")
-            residues.append(r)
-            if p.accept(","):
-                continue
-            break
-        p.expect_name("mod")
+        p.expect("(")
+        residues = p.items(lambda: p.expect_int("a residue")[0])
+        p.expect("name", "mod")
         m, mpos = p.expect_int("a modulus")
-        p.expect(")", "')'")
+        p.expect(")")
         if m < 2:
             raise ParseError("classes need a modulus of at least 2; use 'all'", mpos)
         for r in residues:
-            if not (0 <= r < m) or r not in unit_residues(m):
+            if not 0 <= r < m or gcd(r, m) != 1:
                 raise ParseError(f"residue {r} is not a unit mod {m}", t[2])
         return PrimeSet(m, frozenset(residues), frozenset(), frozenset())
     raise ParseError("expected a prime set", t[2])
@@ -293,66 +272,63 @@ def _parse_primeset(p: _P) -> PrimeSet:
 
 
 def parse_primeset(text: str) -> PrimeSet:
-    p = _P(text)
+    return _whole(text, _parse_primeset)
+
+
+def _parse_generator(p: _P) -> int:
+    g, gpos = p.expect_int("a generator")
+    if g < 1:
+        raise ParseError("generators must be positive", gpos)
+    return g
+
+
+def _parse_family(p: _P, pos: int) -> Family:
+    p.expect("(")
+    p.expect("name", "cofactor")
+    p.expect("=")
+    cof, _ = p.expect_int("a cofactor")
+    p.expect(";")
+    p.expect("name", "primes")
+    p.expect("=")
     ps = _parse_primeset(p)
-    p.done()
-    return ps
+    p.expect(";")
+    p.expect("name", "exp")
+    p.expect("=")
+    if p.accept("{"):
+        m, cv = _parse_residue_map(p, mod_inside=True, allow_inf=False, pos=pos)
+        exp = ExpMap(m, cv, {q: 1 for q in support(m)})
+    else:
+        v, _ = p.expect_int("an exponent")
+        exp = ExpMap(1, {0: v}, {})
+    p.expect(")")
+    try:
+        return Family(cof, ps, exp)
+    except ValueError as e:
+        raise ParseError(str(e), pos) from None
 
 
-def parse_sieve(text: str) -> Sieve:
-    p = _P(text)
+def _parse_sieve(p: _P) -> Sieve:
     gens: list[int] = []
     fams: list[Family] = []
     while True:
         t = p.peek()
         if p.accept("name", "sieve"):
-            p.expect("(", "'('")
-            if not p.accept(")"):
-                while True:
-                    g, gpos = p.expect_int("a generator")
-                    if g < 1:
-                        raise ParseError("generators must be positive", gpos)
-                    gens.append(g)
-                    if p.accept(","):
-                        continue
-                    p.expect(")", "')'")
-                    break
+            p.expect("(")
+            gens.extend(p.items(lambda: _parse_generator(p), close=")"))
         elif p.accept("name", "family"):
-            p.expect("(", "'('")
-            p.expect_name("cofactor")
-            p.expect("=", "'='")
-            cof, _ = p.expect_int("a cofactor")
-            p.expect(";", "';'")
-            p.expect_name("primes")
-            p.expect("=", "'='")
-            ps = _parse_primeset(p)
-            p.expect(";", "';'")
-            p.expect_name("exp")
-            p.expect("=", "'='")
-            if p.accept("{"):
-                m, cv = _parse_residue_map(p, mod_inside=True, allow_inf=False, pos=t[2])
-                exp = ExpMap(m, cv, {q: 1 for q in support(m)})
-            else:
-                v, _ = p.expect_int("an exponent")
-                exp = ExpMap(1, {0: v}, {})
-            p.expect(")", "')'")
-            try:
-                fams.append(Family(cof, ps, exp))
-            except ValueError as e:
-                raise ParseError(str(e), t[2]) from None
+            fams.append(_parse_family(p, t[2]))
         else:
             raise ParseError("expected 'sieve(...)' or 'family(...)'", t[2])
         if not p.accept("+"):
-            break
-    p.done()
-    return Sieve(tuple(gens), tuple(fams)).normalize()
+            return Sieve(tuple(gens), tuple(fams))
+
+
+def parse_sieve(text: str) -> Sieve:
+    return _whole(text, _parse_sieve).normalize()
 
 
 def parse_rational(text: str) -> Fraction:
-    p = _P(text)
-    q = _parse_rational(p)
-    p.done()
-    return q
+    return _whole(text, _parse_rational)
 
 
 def _parse_rational(p: _P) -> Fraction:
@@ -368,31 +344,15 @@ def _parse_rational(p: _P) -> Fraction:
 
 
 def _parse_scale(text: str) -> int:
-    p = _P(text)
-    v, _ = p.expect_int("a scale")
-    p.done()
-    return v
+    return _whole(text, lambda p: p.expect_int("a scale")[0])
 
 
 def _parse_int_list(text: str) -> list[int]:
-    p = _P(text)
-    out = []
-    while True:
-        v, _ = p.expect_int("an integer")
-        out.append(v)
-        if not p.accept(","):
-            break
-    p.done()
-    return out
+    return _whole(text, lambda p: p.items(lambda: p.expect_int()[0]))
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
-    p = _P(text)
-    out = [_parse_rational(p)]
-    while p.accept(","):
-        out.append(_parse_rational(p))
-    p.done()
-    return out
+    return _whole(text, lambda p: p.items(lambda: _parse_rational(p)))
 
 
 def _strict_supernatural(text: str) -> Supernatural:
@@ -400,6 +360,13 @@ def _strict_supernatural(text: str) -> Supernatural:
     if isinstance(v, FractionalSupernatural):
         raise ParseError("negative exponents are only allowed where fractions are expected")
     return v
+
+
+def _pair(scale: int, text: str):
+    """The BZPair of a scale and a supernatural literal."""
+    from .cones import BZPair
+
+    return BZPair(scale, _strict_supernatural(text))
 
 
 # ---------------------------------------------------------------------------
@@ -414,49 +381,44 @@ def _predicate(v: bool, witness=None):
     return (0 if v else 1), v, witness, _bool_text(v)
 
 
+def _value(out: str):
+    return 0, out, None, out
+
+
+# eval --kind -> the parser of that kind of literal
+_KINDS = {
+    "supernat": parse_supernatural,
+    "primeset": parse_primeset,
+    "sieve": parse_sieve,
+    "rational": parse_rational,
+}
+
+
 def _h_eval(args):
-    if args.kind == "supernat":
-        out = str(parse_supernatural(args.literal))
-    elif args.kind == "primeset":
-        out = str(parse_primeset(args.literal))
-    elif args.kind == "sieve":
-        out = str(parse_sieve(args.literal))
-    else:
-        out = str(parse_rational(args.literal))
-    return 0, out, None, out
+    return _value(str(_KINDS[args.kind](args.literal)))
 
 
-def _h_divides(args):
-    return _predicate(
-        _strict_supernatural(args.left).divides(_strict_supernatural(args.right))
-    )
+# verb -> (method of the left operand, parser of both operands); the
+# method is looked up on each call, so a patched class attribute is seen
+_BINARY = {
+    "divides": ("divides", _strict_supernatural),
+    "lcm": ("lcm", _strict_supernatural),
+    "mul": ("mul", _strict_supernatural),
+    "equiv": ("equivalent", _strict_supernatural),
+    "wdiv": ("weakly_divides", _strict_supernatural),
+    "product": ("product", parse_sieve),
+    "union": ("union", parse_sieve),
+}
 
 
-def _h_lcm(args):
-    out = str(_strict_supernatural(args.left).lcm(_strict_supernatural(args.right)))
-    return 0, out, None, out
-
-
-def _h_mul(args):
-    out = str(_strict_supernatural(args.left).mul(_strict_supernatural(args.right)))
-    return 0, out, None, out
-
-
-def _h_equiv(args):
-    return _predicate(
-        _strict_supernatural(args.left).equivalent(_strict_supernatural(args.right))
-    )
-
-
-def _h_wdiv(args):
-    return _predicate(
-        _strict_supernatural(args.left).weakly_divides(_strict_supernatural(args.right))
-    )
+def _h_binary(args):
+    method, parse = _BINARY[args.verb]
+    v = getattr(parse(args.left), method)(parse(args.right))
+    return _predicate(v) if isinstance(v, bool) else _value(str(v))
 
 
 def _h_infsupp(args):
-    out = str(_strict_supernatural(args.value).infinite_support())
-    return 0, out, None, out
+    return _value(str(_strict_supernatural(args.value).infinite_support()))
 
 
 def _h_member(args):
@@ -481,39 +443,18 @@ def _h_separate(args):
     x = PointClass(_strict_supernatural(args.left))
     y = PointClass(_strict_supernatural(args.right))
     w = separating_sieves(x, y, args.budget)
+    flags = ("x_in_left", "y_in_left", "y_in_right", "x_in_right")
+    witness = {flag: getattr(w, flag) for flag in flags}
     text = "\n".join(
-        [
-            f"left: {w.left}",
-            f"right: {w.right}",
-            f"x in left: {_bool_text(w.x_in_left)}",
-            f"y in left: {_bool_text(w.y_in_left)}",
-            f"y in right: {_bool_text(w.y_in_right)}",
-            f"x in right: {_bool_text(w.x_in_right)}",
-        ]
+        [f"left: {w.left}", f"right: {w.right}"]
+        + [f"{flag.replace('_', ' ')}: {_bool_text(v)}" for flag, v in witness.items()]
     )
     result = {"left": str(w.left), "right": str(w.right)}
-    witness = {
-        "x_in_left": w.x_in_left,
-        "y_in_left": w.y_in_left,
-        "y_in_right": w.y_in_right,
-        "x_in_right": w.x_in_right,
-    }
     return 0, result, witness, text
 
 
-def _h_product(args):
-    out = str(parse_sieve(args.left).product(parse_sieve(args.right)))
-    return 0, out, None, out
-
-
-def _h_union(args):
-    out = str(parse_sieve(args.left).union(parse_sieve(args.right)))
-    return 0, out, None, out
-
-
 def _h_transport(args):
-    out = str(parse_sieve(args.sieve).transport(args.factor))
-    return 0, out, None, out
+    return _value(str(parse_sieve(args.sieve).transport(args.factor)))
 
 
 def _h_contains(args):
@@ -532,6 +473,8 @@ def _h_smonoid(args):
 
 
 def _h_bz(args):
+    from .cones import frac_to_pair, pair_to_frac
+
     if args.action == "topair":
         v = parse_supernatural(args.first)
         if isinstance(v, Supernatural):
@@ -542,34 +485,34 @@ def _h_bz(args):
         return 0, result, None, text
     if args.second is None:
         raise ParseError("bz tofrac needs a scale and a supernatural")
-    pair = BZPair(_parse_scale(args.first), _strict_supernatural(args.second))
-    out = str(pair_to_frac(pair))
-    return 0, out, None, out
+    return _value(str(pair_to_frac(_pair(_parse_scale(args.first), args.second))))
 
 
 def _h_cone(args):
+    from .cones import cone_contains, cone_enumerate, cones_isomorphic
+
+    if args.action == "iso" and (args.value is None or args.other is None):
+        raise ParseError("cone iso needs two scale/supernatural pairs")
+    pair = _pair(args.scale, args.denominators)
     if args.action == "contains":
-        pair = BZPair(args.scale, _strict_supernatural(args.denominators))
         return _predicate(cone_contains(pair, parse_rational(args.value)))
     if args.action == "list":
-        pair = BZPair(args.scale, _strict_supernatural(args.denominators))
         elems = cone_enumerate(pair, args.num, args.den)
         text = " ".join(str(q) for q in elems)
         return 0, [str(q) for q in elems], None, text
     # iso
-    if args.value is None or args.other is None:
-        raise ParseError("cone iso needs two scale/supernatural pairs")
-    first = BZPair(args.scale, _strict_supernatural(args.denominators))
-    second = BZPair(_parse_scale(args.value), _strict_supernatural(args.other))
-    return _predicate(cones_isomorphic(first, second))
+    second = _pair(_parse_scale(args.value), args.other)
+    return _predicate(cones_isomorphic(pair, second))
 
 
 def _h_oracle(args):
+    from . import oracle
+
     if args.action == "rank-one":
-        pair = BZPair(args.scale, _strict_supernatural(args.denominators))
+        pair = _pair(args.scale, args.denominators)
         monoid = parse_sieve(args.monoid)
-        tc = TruncatedCone.from_pair(pair, monoid, args.num, args.den)
-        rep = check_point_conditions(tc, args.bound)
+        tc = oracle.TruncatedCone.from_pair(pair, monoid, args.num, args.den)
+        rep = oracle.check_point_conditions(tc, args.bound)
         ok = rep.verified()
         lines = [
             f"free: {_bool_text(rep.free)}",
@@ -587,28 +530,28 @@ def _h_oracle(args):
     if args.action == "verify-member":
         s = _strict_supernatural(args.value)
         sv = parse_sieve(args.sieve)
-        ev = verify_member_decision(PointClass(s), sv, args.div_bound, args.factor_bound)
+        ev = oracle.verify_member_decision(PointClass(s), sv, args.div_bound, args.factor_bound)
         if ev.consistent:
             return 0, "consistent", None, "consistent"
         return 1, "refuted", {"divisor": ev.witness}, f"refuted divisor={ev.witness}"
     if args.action == "chain":
         monoid = parse_sieve(args.monoid)
         seeds = _parse_rational_list(args.seeds)
-        cp = chain_from_points(monoid, seeds, args.bound)
+        cp = oracle.chain_from_points(monoid, seeds, args.bound)
         shown = " | ".join(str(c) for c in cp.stages) if cp.stages else "(empty)"
         return 0, list(cp.stages), None, f"chain: {shown}"
     # add-closed
     monoid = parse_sieve(args.monoid)
     if args.chain is not None:
         stages = _parse_int_list(args.chain)
-        tc = TruncatedCone.from_chain(
-            ChainPoint(tuple(stages), monoid), args.num, args.den
+        tc = oracle.TruncatedCone.from_chain(
+            oracle.ChainPoint(tuple(stages), monoid), args.num, args.den
         )
     else:
         scale_text, snat_text = args.pair
-        pair = BZPair(_parse_scale(scale_text), _strict_supernatural(snat_text))
-        tc = TruncatedCone.from_pair(pair, monoid, args.num, args.den)
-    return _predicate(additively_closed(tc))
+        pair = _pair(_parse_scale(scale_text), snat_text)
+        tc = oracle.TruncatedCone.from_pair(pair, monoid, args.num, args.den)
+    return _predicate(oracle.additively_closed(tc))
 
 
 def _h_primes(args):
@@ -619,18 +562,12 @@ def _h_primes(args):
 
 
 _HANDLERS = {
+    **dict.fromkeys(_BINARY, _h_binary),
     "eval": _h_eval,
-    "divides": _h_divides,
-    "lcm": _h_lcm,
-    "mul": _h_mul,
-    "equiv": _h_equiv,
-    "wdiv": _h_wdiv,
     "infsupp": _h_infsupp,
     "member": _h_member,
     "incomparable": _h_incomparable,
     "separate": _h_separate,
-    "product": _h_product,
-    "union": _h_union,
     "transport": _h_transport,
     "contains": _h_contains,
     "smonoid": _h_smonoid,
@@ -650,63 +587,51 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    sp = sub.add_parser("eval", parents=[common], help="canonicalize a literal")
-    sp.add_argument("literal")
-    sp.add_argument(
-        "--kind",
-        choices=["supernat", "primeset", "sieve", "rational"],
-        default="supernat",
-    )
+    def add(subs, verb, *positionals, **kw):
+        """A verb's parser, with these plain positional arguments."""
+        sp = subs.add_parser(verb, parents=[common], **kw)
+        for name in positionals:
+            sp.add_argument(name)
+        return sp
 
-    for verb, left, right in [
-        ("divides", "left", "right"),
-        ("lcm", "left", "right"),
-        ("mul", "left", "right"),
-        ("equiv", "left", "right"),
-        ("wdiv", "left", "right"),
-        ("incomparable", "left", "right"),
-    ]:
-        sp = sub.add_parser(verb, parents=[common])
-        sp.add_argument(left)
-        sp.add_argument(right)
+    sp = add(sub, "eval", "literal", help="canonicalize a literal")
+    sp.add_argument("--kind", choices=list(_KINDS), default="supernat")
 
-    sp = sub.add_parser("infsupp", parents=[common], help="primes with infinite exponent")
-    sp.add_argument("value")
+    # the table's verbs on supernatural numbers, then incomparable
+    for verb in (v for v, (_, parse) in _BINARY.items() if parse is _strict_supernatural):
+        add(sub, verb, "left", "right")
+    add(sub, "incomparable", "left", "right")
 
-    sp = sub.add_parser("member", parents=[common], help="point in basic open(s)")
-    sp.add_argument("value")
+    add(sub, "infsupp", "value", help="primes with infinite exponent")
+
+    sp = add(sub, "member", "value", help="point in basic open(s)")
     sp.add_argument("sieves", nargs="+")
 
-    sp = sub.add_parser("separate", parents=[common], help="opens splitting two points")
-    sp.add_argument("left")
-    sp.add_argument("right")
+    sp = add(sub, "separate", "left", "right", help="opens splitting two points")
     sp.add_argument("--budget", type=int, default=100_000)
 
-    for verb in ["product", "union"]:
-        sp = sub.add_parser(verb, parents=[common])
-        sp.add_argument("left")
-        sp.add_argument("right")
+    # the table's verbs on sieves
+    for verb in (v for v, (_, parse) in _BINARY.items() if parse is parse_sieve):
+        add(sub, verb, "left", "right")
 
-    sp = sub.add_parser("transport", parents=[common], help="preimage under scaling")
-    sp.add_argument("sieve")
+    sp = add(sub, "transport", "sieve", help="preimage under scaling")
     sp.add_argument("factor", type=int)
 
-    sp = sub.add_parser("contains", parents=[common], help="integer in sieve")
-    sp.add_argument("sieve")
+    sp = add(sub, "contains", "sieve", help="integer in sieve")
     sp.add_argument("value", type=int)
 
-    sp = sub.add_parser("smonoid", parents=[common], help="numerical monoid queries")
+    sp = add(sub, "smonoid", help="numerical monoid queries")
     sp.add_argument("action", choices=["contains", "sieve"])
     sp.add_argument("generators")
     sp.add_argument("value", type=int, nargs="?")
     sp.add_argument("--bound", type=int, default=None)
 
-    sp = sub.add_parser("bz", parents=[common], help="pair form of a cone")
+    sp = add(sub, "bz", help="pair form of a cone")
     sp.add_argument("action", choices=["topair", "tofrac"])
     sp.add_argument("first")
     sp.add_argument("second", nargs="?")
 
-    sp = sub.add_parser("cone", parents=[common], help="rank-one cone queries")
+    sp = add(sub, "cone", help="rank-one cone queries")
     sp.add_argument("action", choices=["contains", "list", "iso"])
     sp.add_argument("scale", type=int)
     sp.add_argument("denominators")
@@ -715,34 +640,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--num", type=int, default=20)
     sp.add_argument("--den", type=int, default=20)
 
-    sp = sub.add_parser("oracle", parents=[common], help="brute-force evidence")
+    sp = add(sub, "oracle", help="brute-force evidence")
     osub = sp.add_subparsers(dest="action", required=True)
-    op = osub.add_parser("rank-one", parents=[common])
+    op = add(osub, "rank-one")
     op.add_argument("scale", type=int)
     op.add_argument("denominators")
     op.add_argument("monoid")
     op.add_argument("--num", type=int, default=6)
     op.add_argument("--den", type=int, default=720)
     op.add_argument("--bound", type=int, default=10_000)
-    op = osub.add_parser("verify-member", parents=[common])
-    op.add_argument("value")
-    op.add_argument("sieve")
+    op = add(osub, "verify-member", "value", "sieve")
     op.add_argument("--div-bound", type=int, default=10_000)
     op.add_argument("--factor-bound", type=int, default=10_000)
-    op = osub.add_parser("chain", parents=[common])
-    op.add_argument("monoid")
-    op.add_argument("seeds")
+    op = add(osub, "chain", "monoid", "seeds")
     op.add_argument("--bound", type=int, default=10_000)
-    op = osub.add_parser("add-closed", parents=[common])
-    op.add_argument("monoid")
+    op = add(osub, "add-closed", "monoid")
     group = op.add_mutually_exclusive_group(required=True)
     group.add_argument("--chain")
     group.add_argument("--pair", nargs=2, metavar=("SCALE", "SUPERNAT"))
     op.add_argument("--num", type=int, default=12)
     op.add_argument("--den", type=int, default=720)
 
-    sp = sub.add_parser("primes", parents=[common], help="list members of a prime set")
-    sp.add_argument("set")
+    sp = add(sub, "primes", "set", help="list members of a prime set")
     sp.add_argument("--upto", type=int, default=100)
 
     return ap
@@ -764,13 +683,9 @@ def run_command(argv: list[str]) -> tuple[int, str, str]:
         return 2, "", f"parse error: {e}"
     except ConstructionStuck as e:
         return 4, "", f"inconclusive: {e}"
-    except (
-        UnsupportedProduct,
-        NonCoprimeGenerators,
-        NotSeparable,
-        NotIncomparable,
-        SearchBudgetExceeded,
-    ) as e:
+    except SteinitzError as e:
+        # the rest: UnsupportedProduct, NonCoprimeGenerators, NotSeparable,
+        # NotIncomparable and SearchBudgetExceeded
         return 3, "", f"unsupported: {e}"
     except ValueError as e:
         return 3, "", f"invalid: {e}"

@@ -14,7 +14,7 @@ families, so structural equality of normal forms is meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from math import gcd, lcm
 from typing import Iterable
@@ -264,29 +264,32 @@ class Sieve:
 # ---------------------------------------------------------------------------
 # Numerical monoids (additively closed) and their sieve of multiples
 
-# Tables kept per generator tuple, the oldest dropped first past 128 tuples,
-# so a long-lived process keeps a bounded number of them (the benchmark's
-# small monoids use about 70).
-_rep_tables: dict[tuple[int, ...], bytearray] = {}
-_REP_TABLES_LIMIT = 128
+# at most 128 generator tuples, each keeping one value per residue of its
+# smallest generator (the benchmark's small monoids use about 70 tuples)
+@lru_cache(maxsize=128)
+def _apery(gens: tuple[int, ...]) -> tuple[float | int, ...]:
+    """w[r]: the least member congruent to r mod a = gens[0] (gens ascending),
+    INF for none; n >= 0 is a member iff n >= w[n % a] (Nijenhuis 1979).
 
-
-def _rep_table(gens: tuple[int, ...], bound: int) -> bytearray:
-    """tbl[i] == 1 iff i is a nonnegative integer combination of gens."""
-    tbl = _rep_tables.get(gens)
-    if tbl is None or len(tbl) <= bound:
-        tbl = bytearray(bound + 1)
-        tbl[0] = 1
-        for i in range(1, bound + 1):
-            for g in gens:
-                if g <= i and tbl[i - g]:
-                    tbl[i] = 1
-                    break
-        _rep_tables.pop(gens, None)
-        if len(_rep_tables) >= _REP_TABLES_LIMIT:
-            del _rep_tables[next(iter(_rep_tables))]
-        _rep_tables[gens] = tbl
-    return tbl
+    Round robin (Bocker and Liptak, Algorithmica 2007): each further
+    generator b walks each cycle of r -> r + b mod a once, starting from
+    the least value on it.
+    """
+    a = gens[0]
+    w: list[float | int] = [INF] * a
+    w[0] = 0
+    for b in gens[1:]:
+        d = gcd(a, b)
+        for p in range(d):
+            n = min(w[p::d])
+            if n == INF:
+                continue
+            for _ in range(a // d - 1):
+                n += b
+                r = n % a
+                n = min(n, w[r])
+                w[r] = n
+    return tuple(w)
 
 
 @dataclass(frozen=True)
@@ -307,7 +310,8 @@ class SMonoidPresentation:
     def contains(self, n: int) -> bool:
         if n < 0:
             raise ValueError(f"need a nonnegative integer, got {n}")
-        return bool(_rep_table(self.generators, n)[n])
+        w = _apery(self.generators)
+        return n >= w[n % len(w)]
 
     def frobenius_number(self) -> int:
         """Largest integer outside the monoid; -1 when there is none."""
@@ -317,21 +321,9 @@ class SMonoidPresentation:
                 f"generators {gens} share a common factor; every large "
                 "integer in between is missed"
             )
-        if 1 in gens:
-            return -1
-        step = min(gens)
-        bound = 4 * max(gens)
-        while True:
-            tbl = _rep_table(gens, bound)
-            run = 0
-            for i in range(1, bound + 1):
-                run = run + 1 if tbl[i] else 0
-                if run >= step:
-                    for j in range(i, 0, -1):
-                        if not tbl[j]:
-                            return j
-                    return 0
-            bound *= 2
+        # w[r] - a is the largest integer of class r outside the monoid
+        # (Brauer and Shockley 1962); w[0] - a = -a is below every other
+        return max(_apery(gens)) - gens[0]
 
     def to_sieve(self, search_bound: int | None = None) -> tuple[Sieve, bool]:
         """The sieve with the same positive members, plus an exactness flag.
@@ -357,7 +349,8 @@ class SMonoidPresentation:
         cap = frob * small[-1] if small else frob
         bound = cap if search_bound is None else min(search_bound, cap)
         exact = bound >= cap
-        tbl = _rep_table(gens, bound)
+        w, a = _apery(gens), gens[0]
+        tbl = [n >= w[n % a] for n in range(bound + 1)]
         minimal = []
         for n in range(2, bound + 1):
             if not tbl[n]:

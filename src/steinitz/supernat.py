@@ -145,11 +145,16 @@ class ExpMap:
         object.__setattr__(self, "class_values", values)
         object.__setattr__(self, "exceptions", exceptions)
 
+    @cached_property
+    def values_hash(self) -> int:
+        """Hash of the class values, computed once: phi(m) items to scan."""
+        return hash(frozenset(self.class_values.items()))
+
     def __hash__(self):
         return hash(
             (
                 self.modulus,
-                frozenset(self.class_values.items()),
+                self.values_hash,
                 frozenset(self.exceptions.items()),
             )
         )

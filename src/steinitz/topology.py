@@ -55,7 +55,7 @@ class PointClass:
             for p, v in e.exceptions.items()
             if (v == INF) != (m % p != 0 and values[p % m] == INF)
         )
-        return hash((m, frozenset(values.items()), departs))
+        return hash((m, e.values_hash, departs))
 
     def __str__(self) -> str:
         return f"[{self.rep}]"

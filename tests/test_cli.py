@@ -8,8 +8,12 @@ inconclusive searches.
 """
 
 import json
+import time
+import tracemalloc
 
-from steinitz.cli import main, run_command
+import pytest
+
+from steinitz.cli import _BINARY, main, run_command
 
 from conftest import rand_sieve, rand_supernatural
 
@@ -171,6 +175,41 @@ def test_exit_code_2_parse_errors():
     assert code == 2 and err.startswith("parse error:")
 
 
+def test_residue_literals_cost_what_they_list():
+    # a modulus of 4 million: no table of its units is built, and the
+    # message names the first five missing residues
+    cases = [
+        (
+            ["eval", "one ; default {1:1} mod 4000000"],
+            "parse error: missing residues [3, 7, 9, 11, 13, ...] mod 4000000"
+            " (at position 6)",
+        ),
+        (
+            ["eval", "family(cofactor=1; primes=all; exp={1:1, 2:1 mod 4000000})", "--kind", "sieve"],
+            "parse error: residues [2] are not units mod 4000000 (at position 0)",
+        ),
+        (
+            ["primes", "classes(1, 3, 10 mod 4000000)"],
+            "parse error: residue 10 is not a unit mod 4000000 (at position 0)",
+        ),
+    ]
+    for argv, message in cases:
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            got = run(*argv)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == (2, "", message)
+        assert elapsed < 1 and peak < 5_000_000, (argv, elapsed, peak)
+    # up to five missing residues are all named, as before
+    assert run("eval", "2 ; default {1:1} mod 8")[2] == (
+        "parse error: missing residues [3, 5, 7] mod 8 (at position 4)"
+    )
+
+
 def test_exit_code_2_usage_errors():
     code, out, err = run("member", "sinf")
     assert code == 2 and "required" in err
@@ -259,6 +298,33 @@ def test_json_shapes():
         '{"verb": "oracle", "result": "unresolved", "witness": '
         '{"unresolved": [["1/3", "1"]], "steps": 32, "limit": 30}}'
     )
+
+
+# one case per verb of the _BINARY table: (verb, left, right, exit code,
+# JSON result); the text form is the result, or true/false for a bool
+BINARY_CASES = [
+    ("divides", "2^1 * 3^1", "2^4 * 3^2 * 5^1", 0, True),
+    ("lcm", "2^inf * 3^5", "2^3 * 7^1", 0, "2^inf * 3^5 * 7^1"),
+    ("mul", "3^1 ; default {1:1, 2:1} mod 3", "2^1 ; default {1:1, 3:1} mod 4", 0, "one ; default 2"),
+    ("equiv", "2^inf", "3^inf", 1, False),
+    ("wdiv", "one ; default 1", "one ; default 2", 0, True),
+    ("product", "sieve(6)", "sieve(10)", 0, "sieve(30)"),
+    ("union", "sieve(4)", "sieve(6) + sieve(2)", 0, "sieve(2)"),
+]
+
+
+def test_binary_cases_cover_the_table():
+    assert [case[0] for case in BINARY_CASES] == list(_BINARY)
+
+
+@pytest.mark.parametrize(
+    "verb, left, right, code, result", BINARY_CASES, ids=[case[0] for case in BINARY_CASES]
+)
+def test_json_shapes_of_binary_verbs(verb, left, right, code, result):
+    text = result if isinstance(result, str) else ("true" if result else "false")
+    assert run(verb, left, right) == (code, text, "")
+    doc = json.dumps({"verb": verb, "result": result, "witness": None})
+    assert run(verb, left, right, "--json") == (code, doc, "")
 
 
 def test_json_keys_in_order(rng):

@@ -8,6 +8,7 @@ times; a window verdict on that range decides the classwise tail.
 """
 
 import math
+import timeit
 from functools import reduce
 
 import pytest
@@ -16,6 +17,7 @@ from steinitz import (
     INF,
     ExpMap,
     FractionalSupernatural,
+    PointClass,
     PrimeSet,
     SearchBudgetExceeded,
     Supernatural,
@@ -284,6 +286,29 @@ def test_negative_class_messages():
         lambda: Supernatural(ExpMap(WIDE, values, WIDE_PINNED)),
         f"negative exponent -4 not allowed at class {WIDE_UNITS[-1]}",
     )
+
+
+def test_wide_map_is_hashed_once():
+    values = dict.fromkeys(WIDE_UNITS, 1)
+    values[1] = 2
+    a = ExpMap(WIDE, values, WIDE_PINNED)
+    assert a.modulus == WIDE
+    h = hash(a)
+    # the 92,160 class values are hashed by the first call only
+    assert min(timeit.repeat(lambda: hash(a), number=1, repeat=5)) < 1e-3
+    assert hash(a) == h
+    b = ExpMap(WIDE, dict(values), dict(WIDE_PINNED))
+    assert a == b and hash(b) == h
+    assert len({Supernatural(a), Supernatural(b)}) == 1
+    moved = ExpMap(WIDE, values, {**WIDE_PINNED, 19: 5})
+    assert moved != a
+    values[1] = 3
+    assert ExpMap(WIDE, values, WIDE_PINNED) != a
+    # one finite exponent changed: an equivalent point, so the same hash
+    x, y = PointClass(Supernatural(a)), PointClass(Supernatural(moved))
+    assert x == y and hash(x) == hash(y)
+    # a point hashes its representative's class values through the map
+    assert min(timeit.repeat(lambda: hash(x), number=1, repeat=5)) < 1e-3
 
 
 def test_unit_residues_match_gcd_definition():
