@@ -75,15 +75,21 @@ class TruncatedCone:
         """The window of the pair's cone.  Beyond it, u/v is a member when
         the scale divides u and v divides the denominators, found by
         trial division of v (divides_exponents, as cone_enumerate tests
-        each denominator); the predicate keeps no state.
+        each denominator) once v's power of 2 fits the denominators'
+        exponent at 2, read once per cone; the predicate keeps no state.
         """
         elems = cone_enumerate(pair, num_bound, den_bound)
         scale, exp = pair.scale, pair.denominators.exps.value_at
+        two = exp(2)
 
         def mem(u: int, v: int) -> bool:
             if u <= 0:
                 raise ValueError(f"need a positive rational, got {Fraction(u, v)}")
-            return u % scale == 0 and divides_exponents(v, exp)
+            return (
+                u % scale == 0
+                and (v & -v).bit_length() - 1 <= two
+                and divides_exponents(v, exp)
+            )
 
         return cls(elems, monoid, num_bound, den_bound, mem)
 
@@ -161,12 +167,16 @@ def check_point_conditions(
 
     The walk order and the report are those of the plain walk over
     Fractions and Sieve.contains; only the work per step is less.  The
-    walk is in integers: c and c' are looked up in one membership table
-    of search_bound bytes (at most TABLE_CAP), values beyond it by
-    Sieve.contains (through a memo kept for this call when the monoid
-    has families), and b = a/c goes to the cone's predicate as a reduced
-    numerator and denominator.  Only values beyond the table, in a
-    monoid with families, reach the global factorize cache.
+    walk is in integers over one membership table of the monoid, first
+    of search_bound bytes (at most TABLE_CAP).  While c and c' both lie
+    in the table, the candidates are read out of two strided slices of
+    it, ANDed as ints, and only those with both factors in the
+    monoid-or-one send b = a/c to the cone's predicate, as a reduced
+    numerator and denominator (_first_pair).  When c' leaves the table,
+    the table grows by doubling, up to TABLE_CAP; values past that go
+    to Sieve.contains one step at a time (through a memo kept for this
+    call when the monoid has families).  Only those values, in a monoid
+    with families, reach the global factorize cache.
     """
     elems = cone.elements
     ms = cone.monoid.members_upto(200)[:8]
@@ -178,7 +188,7 @@ def check_point_conditions(
         for cp in ms[i + 1 :]
     )
     ok = _Lookup(cone.monoid, min(search_bound, TABLE_CAP), one=True)
-    table, above, top, test = ok.table, ok.above, ok.bound, cone.predicate
+    test = cone.predicate
     wits = []
     unres = []
     steps = 0
@@ -192,20 +202,15 @@ def check_point_conditions(
             g = gcd(cross1, cross2)
             # c must be a multiple of step or c' = a2*c/a is not integral
             step, ratio = cross1 // g, cross2 // g
-            c2 = 0
-            for c in range(step, search_bound + 1, step):
-                c2 += ratio
-                if (table[c] if c <= top else above(c)) and (
-                    table[c2] if c2 <= top else above(c2)
-                ):
-                    g = gcd(an, c)
-                    if test(an // g, ad * c // g):
-                        wits.append((a, a2, Fraction(an // g, ad * c // g), c, c2))
-                        steps += c // step
-                        break
-            else:
+            found = _first_pair(ok, step, ratio, search_bound // step, an, ad, test)
+            if found is None:
                 unres.append((a, a2))
                 steps += max(search_bound, 0) // step
+            else:
+                c, c2 = found
+                g = gcd(an, c)
+                wits.append((a, a2, Fraction(an // g, ad * c // g), c, c2))
+                steps += c // step
     report = RankOneReport(not unres, tuple(wits), tuple(unres), steps)
     return PointReport(free, report)
 
@@ -356,24 +361,94 @@ class _Memo(dict):
 class _Lookup:
     """Sieve membership for one walk: a table up to bound (at least 1).
 
-    Above the table, values go to Sieve.contains: through a memo kept
-    for the walk when the sieve has families and memo is set, directly
-    otherwise (without families, contains only tests the generators).
-    With one=True, 1 counts as a member too (the walks' monoid-or-one).
+    A walk that needs more asks the table to grow (grow), which rebuilds
+    it by doubling, up to TABLE_CAP.  Above the table, values go to
+    Sieve.contains: through a memo kept for the walk when the sieve has
+    families and memo is set, directly otherwise (without families,
+    contains only tests the generators).  With one=True, 1 counts as a
+    member too (the walks' monoid-or-one), in every table built.
     """
 
     def __init__(self, sieve: Sieve, bound: int, one: bool = False, memo: bool = True):
-        self.bound = max(bound, 1)
-        self.table = sieve.membership_table(self.bound)
+        self.sieve, self.one = sieve, one
+        self._build(max(bound, 1))
         if memo and sieve.families:
             self.above = _Memo(sieve.contains).__getitem__
         else:
             self.above = sieve.contains
-        if one:
+
+    def _build(self, bound: int) -> None:
+        self.bound = bound
+        self.table = self.sieve.membership_table(bound)
+        if self.one:
             self.table[1] = 1
+
+    def grow(self, need: int, most: int) -> bool:
+        """Rebuild the table up to need or more: twice its bound, but no
+        more than most or TABLE_CAP.  False, with the table as it was,
+        when need is past TABLE_CAP."""
+        if need > TABLE_CAP:
+            return False
+        self._build(min(max(2 * self.bound, need), most, TABLE_CAP))
+        return True
 
     def __call__(self, n: int) -> bool:
         return self.table[n] if n <= self.bound else self.above(n)
+
+
+# The candidates a rank-one walk reads in its first pair of table slices;
+# each later pair is twice as long, so a walk that stops early reads little.
+_FIRST_SLICE = 64
+
+
+def _first_pair(
+    ok: _Lookup,
+    step: int,
+    ratio: int,
+    count: int,
+    an: int,
+    ad: int,
+    test: Callable[[int, int], bool],
+) -> tuple[int, int] | None:
+    """The first (c, c') = (j*step, j*ratio), j = 1 .. count, with c and c'
+    in ok and an/(ad*c) accepted by test (given reduced), or None.
+
+    While c and c' both lie in ok's table, the candidates are read out
+    of the strided slices table[j*step::step] and table[j*ratio::ratio]:
+    ANDed as ints (SWAR, Lamport, CACM 1975), they leave a byte set at
+    each j with both factors in ok, and only those j reach test, in
+    ascending order.  When c' (or c) leaves the table, the table grows
+    to cover it; past TABLE_CAP the walk goes on one step at a time,
+    with ok.above for the values above the table.
+    """
+    hi = max(step, ratio)
+    j, span = 1, _FIRST_SLICE
+    while j <= count:
+        last = min(count, ok.bound // hi, j + span - 1)
+        if last < j:
+            if ok.grow(j * hi, count * hi):
+                continue
+            break
+        table = ok.table
+        both = int.from_bytes(table[j * step : last * step + 1 : step], "little") & (
+            int.from_bytes(table[j * ratio : last * ratio + 1 : ratio], "little")
+        )
+        if both:
+            for k in compress(range(j, last + 1), both.to_bytes(last - j + 1, "little")):
+                c = k * step
+                g = gcd(an, c)
+                if test(an // g, ad * c // g):
+                    return c, k * ratio
+        j, span = last + 1, 2 * span
+    table, top, above = ok.table, ok.bound, ok.above
+    c2 = (j - 1) * ratio
+    for c in range(j * step, count * step + 1, step):
+        c2 += ratio
+        if (table[c] if c <= top else above(c)) and (table[c2] if c2 <= top else above(c2)):
+            g = gcd(an, c)
+            if test(an // g, ad * c // g):
+                return c, c2
+    return None
 
 
 def _strike(table: bytearray, d: int) -> None:
@@ -382,13 +457,19 @@ def _strike(table: bytearray, d: int) -> None:
 
 
 def _divisor_table(bound: int, exp: Mapping[int, Exp]) -> bytearray:
-    """table[n] == 1 iff n divides the supernatural number, for 1 <= n <= bound."""
+    """table[n] == 1 iff n divides the supernatural number, for 1 <= n <= bound.
+
+    Cleared at the multiples of p^(e+1) for each prime p <= bound of
+    finite exponent e.  The exponents are read in one pass over the
+    primes, and every strike copies its zeros out of one buffer.
+    """
     table = bytearray(b"\x01") * (bound + 1)
     table[0] = 0
-    for p in primes_upto(bound):
-        e = exp[p]
+    zeros = bytearray(bound // 2)
+    primes = primes_upto(bound)
+    for p, e in zip(primes, map(exp.__getitem__, primes)):
         if e != INF and (d := power_upto(p, e + 1, bound)):
-            _strike(table, d)
+            table[d::d] = zeros[: bound // d]
     return table
 
 

@@ -210,6 +210,17 @@ def test_residue_literals_cost_what_they_list():
     )
 
 
+def test_large_prime_literals_answer_at_once():
+    # 2^61 - 1 is tested by Miller-Rabin, not trial division
+    t0 = time.perf_counter()
+    got = run("eval", "2305843009213693951^2")
+    assert time.perf_counter() - t0 < 1
+    assert got == (0, "2305843009213693951^2", "")
+    # past the exact range of the test, the answer is exit 3
+    code, _, err = run("eval", "3317044064679887385961981^2")
+    assert code == 3 and err.startswith("unsupported: primality of")
+
+
 def test_exit_code_2_usage_errors():
     code, out, err = run("member", "sinf")
     assert code == 2 and "required" in err

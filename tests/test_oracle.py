@@ -11,7 +11,7 @@ from math import gcd
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PRIMES_TO_100, wide_supernaturals
@@ -502,3 +502,88 @@ def test_rank_one_steps_frozen():
         search_bound=-5,
     ).rank_one
     assert none.unresolved == stuck.unresolved and none.steps == 2
+
+
+# ------------------------------------------------- strided slices and growth
+#
+# The rank-one walk reads its candidates out of strided slices of one
+# membership table, grows that table by doubling while c' leaves it, and
+# goes one step at a time past TABLE_CAP.  Pair cones over a single prime
+# power have few elements and ratios up to 2 * 5^4, so their long walks
+# cross the first table at the bounds drawn here, and a patched cap sends
+# them past it.
+
+
+@st.composite
+def far_cones(draw):
+    # over sieve(16), sieve(81) or sieve(125) the first c in the monoid
+    # lies past the first slice of 64 candidates
+    gens = st.sampled_from((2, 3, 6, 16, 81, 125)).map(Sieve.of)
+    monoid = draw(proper_sieves() | gens)
+    p = draw(st.sampled_from((2, 3, 5)))
+    dens = Supernatural.from_exponents({p: draw(st.sampled_from((1, 3, INF)))})
+    num, den = draw(st.integers(1, 2)), p ** draw(st.integers(1, 4))
+    return TruncatedCone.from_pair(BZPair(1, dens), monoid, num, den)
+
+
+LATE = TruncatedCone.from_pair(
+    BZPair(1, Supernatural.from_exponents({3: INF})), Sieve.of(81), 2, 27
+)
+# descending elements: every off-diagonal pair then has step > ratio, and
+# with a cap of 64, c leaves the table before c' does; (1, 1/3) over
+# sieve(27) is first witnessed at c = 81, c' = 27
+ETAL = TruncatedCone(LATE.elements[::-1], Sieve.of(27), 2, 27, LATE.predicate)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(far_cones(), st.integers(0, 400), caps)
+# (1/3, 1) over sieve(81) is first witnessed at c = 81, in the second slice
+@example(LATE, 400, oracle.TABLE_CAP)
+@example(LATE, 400, 64)
+@example(ETAL, 400, 64)
+def test_long_walks_match_reference(cone, bound, cap):
+    with patch.object(oracle, "TABLE_CAP", cap):
+        rep = check_point_conditions(cone, bound)
+    got = (rep.free, rep.rank_one.verified, rep.rank_one.witnesses, rep.rank_one.unresolved)
+    assert got == reference_point_conditions(cone, bound)
+    assert rep.rank_one.steps == walked(rep.rank_one, bound)
+
+
+def table_bounds():
+    """Patch membership_table to record the bound of every table built."""
+    bounds = []
+    real = Sieve.membership_table
+
+    def spy(self, bound):
+        bounds.append(bound)
+        return real(self, bound)
+
+    return bounds, patch.object(Sieve, "membership_table", spy)
+
+
+def test_negative_walk_reads_only_its_tables():
+    # criterion 7's negative case on the window {1/9, 1/3, 1}: c' runs to
+    # 9 * 10,000, so the table grows from 10,000 and no value is left for
+    # Sieve.contains
+    pair = BZPair(1, Supernatural.from_exponents({3: INF}))
+    cone = TruncatedCone.from_pair(pair, Sieve.of(2), 1, 9)
+    bounds, spy = table_bounds()
+    with spy, patch.object(Sieve, "contains", autospec=True, side_effect=Sieve.contains) as calls:
+        report = check_point_conditions(cone, search_bound=10_000)
+    assert calls.call_count == 0
+    assert len(report.rank_one.unresolved) == 3 and report.rank_one.steps == 3 + 3 * 10_000
+    # members_upto(200) for freeness, then the walk's tables: each twice the
+    # last, but no larger than the pair needs ((1/9, 1/3) ends at c' = 30,000,
+    # (1/9, 1) at 90,000, and (1/3, 1) needs no more)
+    assert bounds == [200, 10_000, 20_000, 30_000, 60_000, 90_000]
+
+
+def test_first_candidate_witness_keeps_the_first_table():
+    # (1/256, 1): step 1, ratio 256 > 64; c = 1 and c' = 256 already witness
+    # it, so a slice of 64 candidates (c' up to 16,384) must not be read
+    cone = TruncatedCone.from_pair(pow2_pair(), Sieve.of(2), 1, 256)
+    bounds, spy = table_bounds()
+    with spy:
+        rep = check_point_conditions(cone, search_bound=2_000).rank_one
+    assert (Fraction(1, 256), Fraction(1), Fraction(1, 256), 1, 256) in rep.witnesses
+    assert rep.verified and bounds == [200, 2_000]

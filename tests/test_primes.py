@@ -1,6 +1,17 @@
 """The prime utilities against naive trial division."""
 
-from steinitz._primes import factorize, is_prime, iter_primes, nth_primes, primes_upto, support
+import pytest
+
+from steinitz._primes import (
+    PRIME_TEST_LIMIT,
+    factorize,
+    is_prime,
+    iter_primes,
+    nth_primes,
+    primes_upto,
+    support,
+)
+from steinitz.errors import SearchBudgetExceeded
 
 
 def naive_is_prime(n):
@@ -80,3 +91,26 @@ def test_caches_are_bounded():
 
     for cached in (is_prime, factorize, support, unit_residues):
         assert cached.cache_info().maxsize is not None, cached
+
+
+def test_is_prime_matches_the_sieve_to_a_million():
+    # the wrapped function, so the cache is neither filled nor consulted
+    assert list(filter(is_prime.__wrapped__, range(10**6 + 1))) == primes_upto(10**6)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first 4, 9 and 12 prime bases:
+    # each passes those bases and fails the next one
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) ** 2)
+
+
+def test_is_prime_raises_past_its_exact_range():
+    # the least strong pseudoprime to all 13 bases, where exactness ends
+    assert PRIME_TEST_LIMIT == 3317044064679887385961981
+    with pytest.raises(SearchBudgetExceeded):
+        is_prime(3317044064679887385961981)
+    with pytest.raises(SearchBudgetExceeded):
+        is_prime(2**89 - 1)
