@@ -4,21 +4,23 @@ Everything in this module works by bounded enumeration over ordinary
 integers and fractions, independently of the classwise algebra, so its
 verdicts can confront the closed-form answers in tests.  Bounded means
 bounded: a Consistent or Verified verdict is evidence at the stated
-bounds, not a proof, and refutations always carry a concrete witness.
+bounds, not a proof, and so is a refutation.  verify_member_decision
+refutes with a divisor that no sieve member up to its factor bound
+completes; a larger member may still complete it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import gcd
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._primes import factorize, power_upto, primes_upto
 from .cones import BZPair, cone_enumerate
 from .errors import ConstructionStuck
-from .sieve import Sieve
+from .sieve import TABLE_CAP, Sieve
 from .supernat import INF, Exp, Supernatural, divides_exponents
 from .topology import PointClass, _as_supernatural
 
@@ -98,23 +100,24 @@ class TruncatedCone:
         cls, chain: ChainPoint, num_bound: int, den_bound: int
     ) -> "TruncatedCone":
         """The window of the chain's union of levels, read off one
-        membership table of the monoid up to num_bound times the top
-        level; the predicate keeps that table and asks Sieve.contains,
-        unmemoized, about larger values."""
-        levels = chain.levels()
-        has = _Lookup(chain.monoid, num_bound * levels[-1], memo=False)
+        membership window of the monoid over 1 .. num_bound times the top
+        level; the predicate asks Sieve.contains."""
+        levels, monoid = chain.levels(), chain.monoid
+        has = monoid.membership_window(1, num_bound * levels[-1], 1)
         seen = set()
         for l in levels:
-            for c in compress(range(num_bound * l + 1), has.table):
+            for c in compress(range(1, num_bound * l + 1), has):
                 g = gcd(c, l)
                 if c // g <= num_bound and l // g <= den_bound:
                     seen.add((c // g, l // g))
 
         def mem(u: int, v: int) -> bool:
-            return u > 0 and any(u * l % v == 0 and has(u * l // v) for l in levels)
+            return u > 0 and any(
+                u * l % v == 0 and monoid.contains(u * l // v) for l in levels
+            )
 
         elems = tuple(sorted(Fraction(u, v) for u, v in seen))
-        return cls(elems, chain.monoid, num_bound, den_bound, mem)
+        return cls(elems, monoid, num_bound, den_bound, mem)
 
     @classmethod
     def from_elements(
@@ -167,16 +170,14 @@ def check_point_conditions(
 
     The walk order and the report are those of the plain walk over
     Fractions and Sieve.contains; only the work per step is less.  The
-    walk is in integers over one membership table of the monoid, first
-    of search_bound bytes (at most TABLE_CAP).  While c and c' both lie
-    in the table, the candidates are read out of two strided slices of
-    it, ANDed as ints, and only those with both factors in the
-    monoid-or-one send b = a/c to the cone's predicate, as a reduced
-    numerator and denominator (_first_pair).  When c' leaves the table,
-    the table grows by doubling, up to TABLE_CAP; values past that go
-    to Sieve.contains one step at a time (through a memo kept for this
-    call when the monoid has families).  Only those values, in a monoid
-    with families, reach the global factorize cache.
+    walk is in integers: the candidates c = k*step and c' = k*ratio are
+    read out of two strided membership windows of the monoid, ANDed as
+    ints, and only the k with both factors in the monoid-or-one send
+    b = a/c to the cone's predicate, as a reduced numerator and
+    denominator (_both_members).  The windows double in length up to
+    TABLE_CAP, so memory stays bounded at any search bound and a walk
+    that stops early reads little.  Only a monoid family too wide to
+    sieve in a window sends values to the global factorize cache.
     """
     elems = cone.elements
     ms = cone.monoid.members_upto(200)[:8]
@@ -187,8 +188,7 @@ def check_point_conditions(
         for i, c in enumerate(ms)
         for cp in ms[i + 1 :]
     )
-    ok = _Lookup(cone.monoid, min(search_bound, TABLE_CAP), one=True)
-    test = cone.predicate
+    monoid, test = cone.monoid, cone.predicate
     wits = []
     unres = []
     steps = 0
@@ -202,22 +202,30 @@ def check_point_conditions(
             g = gcd(cross1, cross2)
             # c must be a multiple of step or c' = a2*c/a is not integral
             step, ratio = cross1 // g, cross2 // g
-            found = _first_pair(ok, step, ratio, search_bound // step, an, ad, test)
-            if found is None:
+            ks = chain.from_iterable(_both_members(monoid, step, ratio, search_bound // step))
+            for k in ks:
+                c = k * step
+                g = gcd(an, c)
+                if test(an // g, ad * c // g):
+                    wits.append((a, a2, Fraction(an // g, ad * c // g), c, k * ratio))
+                    steps += k
+                    break
+            else:
                 unres.append((a, a2))
                 steps += max(search_bound, 0) // step
-            else:
-                c, c2 = found
-                g = gcd(an, c)
-                wits.append((a, a2, Fraction(an // g, ad * c // g), c, c2))
-                steps += c // step
     report = RankOneReport(not unres, tuple(wits), tuple(unres), steps)
     return PointReport(free, report)
 
 
 @dataclass(frozen=True)
 class MemberEvidence:
-    """Outcome of the divisor-completion scan; witness is the failing divisor."""
+    """Outcome of the divisor-completion scan.
+
+    witness is the least divisor n <= div_bound of s that no member
+    c <= factor_bound of the sieve completes to c*n dividing s, or None.
+    A member past factor_bound may still complete it, so a refutation
+    holds at the bounds, not beyond them.
+    """
 
     consistent: bool
     witness: int | None
@@ -238,22 +246,21 @@ def verify_member_decision(
     smallest one.
 
     The scan order and the evidence are those of the plain scan that
-    factors every n and c.  The divisors of s come from a table of
-    factor_bound bytes, cleared at the multiples of p^(e+1) for each
-    prime p of finite exponent e in s, and past it from tables of
-    doubling size, as far as the scan gets.  When the last completing
+    factors every n and c.  The divisors of s come from a window over
+    1 .. factor_bound, cleared at the multiples of p^(e+1) for each
+    prime p of finite exponent e in s, and past it from windows of
+    doubling length, as far as the scan gets.  When the last completing
     c fails for n, n is factored (once, by trial division) and the next
-    c is read off a copy of the first table cleared at the multiples of
-    p^(e-k+1) for each p^k exactly dividing n.  The candidates come
-    from the sieve's membership table and s's exponents from a memo
-    kept for this call; no global cache is used.
+    c is read off a copy of the first window cleared at the multiples
+    of p^(e-k+1) for each p^k exactly dividing n.  The candidates come
+    from the sieve's membership window; no global cache is used.
     """
     s = _as_supernatural(x)
     if sieve.contains(1):
         raise ValueError("the full sieve admits every point; nothing to check")
     cands = sieve.members_upto(factor_bound)
-    exp = _Memo(s.exps.value_at)
-    divides = _divisor_table(max(factor_bound, 1), exp)
+    exp = s.exps.value_at
+    divides = _divisor_window(1, max(factor_bound, 1), exp)
     last: int | None = None
     last_fac: tuple[tuple[int, int], ...] = ()
 
@@ -263,19 +270,19 @@ def verify_member_decision(
             while n % q == 0:
                 n //= q
                 e += 1
-            if e > exp[q]:
+            if e > exp(q):
                 return False
         return True
 
     for n in _divisors(div_bound, exp, divides):
         if last is not None and completes(n):
             continue
-        room = divides[: factor_bound + 1]
+        room = divides[:]
         for q, k in _factor(n):
-            e = exp[q]
+            e = exp(q)
             if e != INF and (d := power_upto(q, e - k + 1, factor_bound)):
-                _strike(room, d)
-        last = next((c for c in cands if room[c]), None)
+                room[d - 1 :: d] = bytes(len(room) // d)
+        last = next((c for c in cands if room[c - 1]), None)
         if last is None:
             return MemberEvidence(False, n)
         last_fac = _factor(last)
@@ -306,10 +313,9 @@ def chain_from_points(
     The first seed is rescaled to 1; each later uncovered seed extends
     the chain by the smallest multiple of the current stage that both
     divides into the monoid-or-one and turns the seed into a
-    monoid-or-one numerator.  Deterministic by the smallest-first walk,
-    which runs in integers over one membership table of search_bound
-    bytes (at most TABLE_CAP); values beyond it are looked up as in
-    check_point_conditions.
+    monoid-or-one numerator.  Deterministic by the smallest-first walk
+    over the multiples t of that step, which reads t/base and u*t/v out
+    of strided membership windows as check_point_conditions does.
     """
     seeds = [Fraction(q) for q in seeds]
     if not seeds:
@@ -317,172 +323,93 @@ def chain_from_points(
     for q in seeds:
         if q <= 0:
             raise ValueError(f"need positive seeds, got {q}")
-    has = _Lookup(monoid, min(search_bound, TABLE_CAP), one=True)
     first = seeds[0]
-    chain: list[int] = []
+    stages: list[int] = []
     for seed in seeds:
         q = seed / first
         u, v = q.numerator, q.denominator
-        if any(u * l % v == 0 and has(u * l // v) for l in [1] + chain):
+        if any(
+            u * l % v == 0 and (u * l == v or monoid.contains(u * l // v))
+            for l in [1] + stages
+        ):
             continue
-        base = chain[-1] if chain else 1
+        base = stages[-1] if stages else 1
         step = base * v // gcd(base, v)
-        for t in range(step, search_bound + 1, step):
-            if t != base and has(t // base) and has(u * (t // v)):
-                chain.append(t)
-                break
-        else:
+        # t = base never passes: its test is the coverage test at level base
+        ks = chain.from_iterable(
+            _both_members(monoid, step // base, u * step // v, search_bound // step)
+        )
+        k = next(ks, None)
+        if k is None:
             raise ConstructionStuck(seed)
-    return ChainPoint(tuple(chain), monoid)
+        stages.append(k * step)
+    return ChainPoint(tuple(stages), monoid)
 
 
 # plain trial division: the walks factor rarely and must not fill the
 # global factorize cache
 _factor = factorize.__wrapped__
 
-# The largest table a walk builds up front.  A walk may stop at its first
-# candidate, so a large search bound must not cost its size in memory
-# before the first step; values above the table are looked up one by one.
-TABLE_CAP = 1 << 20
-
-
-class _Memo(dict):
-    """The values of fn, each computed on first lookup."""
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-class _Lookup:
-    """Sieve membership for one walk: a table up to bound (at least 1).
-
-    A walk that needs more asks the table to grow (grow), which rebuilds
-    it by doubling, up to TABLE_CAP.  Above the table, values go to
-    Sieve.contains: through a memo kept for the walk when the sieve has
-    families and memo is set, directly otherwise (without families,
-    contains only tests the generators).  With one=True, 1 counts as a
-    member too (the walks' monoid-or-one), in every table built.
-    """
-
-    def __init__(self, sieve: Sieve, bound: int, one: bool = False, memo: bool = True):
-        self.sieve, self.one = sieve, one
-        self._build(max(bound, 1))
-        if memo and sieve.families:
-            self.above = _Memo(sieve.contains).__getitem__
-        else:
-            self.above = sieve.contains
-
-    def _build(self, bound: int) -> None:
-        self.bound = bound
-        self.table = self.sieve.membership_table(bound)
-        if self.one:
-            self.table[1] = 1
-
-    def grow(self, need: int, most: int) -> bool:
-        """Rebuild the table up to need or more: twice its bound, but no
-        more than most or TABLE_CAP.  False, with the table as it was,
-        when need is past TABLE_CAP."""
-        if need > TABLE_CAP:
-            return False
-        self._build(min(max(2 * self.bound, need), most, TABLE_CAP))
-        return True
-
-    def __call__(self, n: int) -> bool:
-        return self.table[n] if n <= self.bound else self.above(n)
-
-
-# The candidates a rank-one walk reads in its first pair of table slices;
-# each later pair is twice as long, so a walk that stops early reads little.
+# The values of k in a walk's first pair of membership windows; each later
+# pair is twice as long, up to TABLE_CAP, so a walk that stops early reads
+# little.
 _FIRST_SLICE = 64
 
 
-def _first_pair(
-    ok: _Lookup,
-    step: int,
-    ratio: int,
-    count: int,
-    an: int,
-    ad: int,
-    test: Callable[[int, int], bool],
-) -> tuple[int, int] | None:
-    """The first (c, c') = (j*step, j*ratio), j = 1 .. count, with c and c'
-    in ok and an/(ad*c) accepted by test (given reduced), or None.
+def _both_members(monoid: Sieve, x: int, y: int, count: int) -> Iterator[Iterator[int]]:
+    """The k = 1 .. count with k*x and k*y both in the monoid-or-one,
+    ascending, as one iterator per pair of windows.
 
-    While c and c' both lie in ok's table, the candidates are read out
-    of the strided slices table[j*step::step] and table[j*ratio::ratio]:
-    ANDed as ints (SWAR, Lamport, CACM 1975), they leave a byte set at
-    each j with both factors in ok, and only those j reach test, in
-    ascending order.  When c' (or c) leaves the table, the table grows
-    to cover it; past TABLE_CAP the walk goes on one step at a time,
-    with ok.above for the values above the table.
+    Each pair is two strided membership windows of the monoid (1 counts
+    as a member), ANDed as ints (SWAR, Lamport, CACM 1975); a window is
+    read only when the walk gets to it.
     """
-    hi = max(step, ratio)
+
+    def bits(lo: int, n: int, stride: int) -> int:
+        window = monoid.membership_window(lo, n, stride)
+        if lo == 1:
+            window[0] = 1
+        return int.from_bytes(window, "little")
+
     j, span = 1, _FIRST_SLICE
     while j <= count:
-        last = min(count, ok.bound // hi, j + span - 1)
-        if last < j:
-            if ok.grow(j * hi, count * hi):
-                continue
-            break
-        table = ok.table
-        both = int.from_bytes(table[j * step : last * step + 1 : step], "little") & (
-            int.from_bytes(table[j * ratio : last * ratio + 1 : ratio], "little")
-        )
+        n = min(span, TABLE_CAP, count - j + 1)
+        both = bits(j * x, n, x) & bits(j * y, n, y)
         if both:
-            for k in compress(range(j, last + 1), both.to_bytes(last - j + 1, "little")):
-                c = k * step
-                g = gcd(an, c)
-                if test(an // g, ad * c // g):
-                    return c, k * ratio
-        j, span = last + 1, 2 * span
-    table, top, above = ok.table, ok.bound, ok.above
-    c2 = (j - 1) * ratio
-    for c in range(j * step, count * step + 1, step):
-        c2 += ratio
-        if (table[c] if c <= top else above(c)) and (table[c2] if c2 <= top else above(c2)):
-            g = gcd(an, c)
-            if test(an // g, ad * c // g):
-                return c, c2
-    return None
+            yield compress(range(j, j + n), both.to_bytes(n, "little"))
+        j, span = j + n, 2 * span
 
 
-def _strike(table: bytearray, d: int) -> None:
-    """Clear the table at the multiples of d."""
-    table[d::d] = bytes((len(table) - 1) // d)
+def _divisor_window(lo: int, count: int, exp: Callable[[int], Exp]) -> bytearray:
+    """window[i] == 1 iff lo + i divides the supernatural number, for
+    0 <= i < count (lo >= 1).
 
-
-def _divisor_table(bound: int, exp: Mapping[int, Exp]) -> bytearray:
-    """table[n] == 1 iff n divides the supernatural number, for 1 <= n <= bound.
-
-    Cleared at the multiples of p^(e+1) for each prime p <= bound of
-    finite exponent e.  The exponents are read in one pass over the
+    Cleared at the multiples of p^(e+1) for each prime p up to the top
+    of finite exponent e.  The exponents are read in one pass over the
     primes, and every strike copies its zeros out of one buffer.
     """
-    table = bytearray(b"\x01") * (bound + 1)
-    table[0] = 0
-    zeros = bytearray(bound // 2)
-    primes = primes_upto(bound)
-    for p, e in zip(primes, map(exp.__getitem__, primes)):
-        if e != INF and (d := power_upto(p, e + 1, bound)):
-            table[d::d] = zeros[: bound // d]
-    return table
+    window = bytearray(b"\x01") * count
+    top = lo + count - 1
+    zeros = bytearray(count // 2 + 1)
+    primes = primes_upto(top)
+    for p, e in zip(primes, map(exp, primes)):
+        if e != INF and (d := power_upto(p, e + 1, top)):
+            start = -lo % d
+            window[start::d] = zeros[: (count - 1 - start) // d + 1]
+    return window
 
 
-def _divisors(bound: int, exp: Mapping[int, Exp], table: bytearray) -> Iterator[int]:
+def _divisors(bound: int, exp: Callable[[int], Exp], window: bytearray) -> Iterator[int]:
     """The n <= bound dividing the supernatural number, ascending.
 
-    Read off the given divisor table first, then off tables of doubling
-    size, so memory follows how far the scan gets, not the bound.
+    Read off the given divisor window over 1 .. len(window) first, then
+    off windows of doubling length over the next values, so memory
+    follows how far the scan gets, not the bound.
     """
-    done = 0
-    while done < bound:
-        top = min(len(table) - 1, bound)
-        yield from compress(range(done + 1, top + 1), memoryview(table)[done + 1 :])
-        done = top
-        if done < bound:
-            table = _divisor_table(min(2 * done, bound), exp)
+    lo, top = 1, min(len(window), bound)
+    while True:
+        yield from compress(range(lo, top + 1), window)
+        if top >= bound:
+            return
+        lo, top = top + 1, min(2 * top, bound)
+        window = _divisor_window(lo, top - lo + 1, exp)

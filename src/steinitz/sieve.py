@@ -23,6 +23,11 @@ from ._primes import factorize, power_upto, primes_upto, support
 from .errors import NonCoprimeGenerators, UnsupportedProduct
 from .supernat import INF, ExpMap, PrimeSet, align, unit_residues
 
+# The longest membership window the oracle's walks read at once, and the
+# widest prime range a family's window sieves: a walk may stop at its first
+# candidate, so a large search bound must not cost its size in memory.
+TABLE_CAP = 1 << 20
+
 
 @dataclass(frozen=True)
 class Family:
@@ -139,8 +144,9 @@ class Sieve:
     def contains(self, n: int) -> bool:
         if n < 1:
             raise ValueError(f"need a positive integer, got {n}")
-        # a plain loop: the oracle's walks call this for every value
-        # above their tables, and a generator expression costs 4x more
+        # a plain loop, 4x cheaper than a generator expression: the chain
+        # cones' predicates and the chain walk's coverage check ask here
+        # value by value
         for g in self.finite_gens:
             if n % g == 0:
                 return True
@@ -149,26 +155,52 @@ class Sieve:
         nf = dict(factorize(n))
         return any(f.covers(nf) for f in self.families)
 
-    def membership_table(self, bound: int) -> bytearray:
-        """table[n] == 1 iff n is in the sieve, for 1 <= n <= bound.
+    def membership_window(self, lo: int, count: int, stride: int) -> bytearray:
+        """window[k] == 1 iff lo + k*stride is in the sieve, for 0 <= k < count.
 
-        Marks the multiples of each finite generator and of each family
-        instance cofactor * p^e(p) for the member primes p <= bound //
-        cofactor; table[0] is 0.  Costs bound + 1 bytes and no factoring.
+        Each finite generator and each family instance cofactor * p^e(p)
+        up to the window's top divides lo + k*stride on one progression
+        of k: its start comes from one modular inverse, its marks from one
+        slice assignment.  A family whose member primes would run past
+        max(count, TABLE_CAP) is the one exception: it tests the values
+        left unmarked one by one (Family.covers, factoring each), so a
+        window never costs more than its own bytes and a prime sieve of
+        that size.
         """
-        table = bytearray(max(bound, 0) + 1)
-        gens = [g for g in self.finite_gens if g <= bound]
+        if lo < 1 or stride < 1:
+            raise ValueError(f"need a positive start and stride, got {lo} and {stride}")
+        window = bytearray(max(count, 0))
+        top = lo + (count - 1) * stride
+        gens = [g for g in self.finite_gens if g <= top]
+        wide = []
         for f in self.families:
-            c = f.cofactor
-            for p in filter(f.primes.contains, primes_upto(bound // c)):
-                if d := power_upto(p, int(f.exponents.value_at(p)), bound // c):
+            c, em = f.cofactor, f.exponents
+            # a member prime p with c * p^e(p) <= top lies below 2^ceil(b/e)
+            # for the least member exponent e, b being top // c's bit length
+            vals = (*em.class_values.values(), *em.exceptions.values())
+            e = int(min((v for v in vals if v != INF and v >= 1), default=1))
+            reach = min(top // c, 1 << -(-(top // c).bit_length() // e))
+            if reach > max(count, TABLE_CAP):
+                wide.append(f)
+                continue
+            for p in filter(f.primes.contains, primes_upto(reach)):
+                if d := power_upto(p, int(em.value_at(p)), top // c):
                     gens.append(c * d)
+        ones = bytearray(b"\x01") * count
         for g in gens:
-            table[g::g] = b"\x01" * (bound // g)
-        return table
+            d = gcd(stride, g)
+            if lo % d == 0:
+                m = g // d
+                k = -(lo // d) * pow(stride // d, -1, m) % m
+                window[k::m] = ones[: len(range(k, count, m))]
+        for f in wide:
+            for k in range(count):
+                if not window[k]:
+                    window[k] = f.covers(dict(factorize(lo + k * stride)))
+        return window
 
     def members_upto(self, bound: int) -> list[int]:
-        return list(compress(range(bound + 1), self.membership_table(bound)))
+        return list(compress(range(1, bound + 1), self.membership_window(1, bound, 1)))
 
     def is_full(self) -> bool:
         return self.contains(1)

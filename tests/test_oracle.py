@@ -37,6 +37,7 @@ from steinitz import (
     unit_residues,
     verify_member_decision,
 )
+from steinitz import sieve as sieve_module
 from steinitz._primes import factorize
 
 
@@ -135,6 +136,9 @@ def test_verify_member_refutes_finite_points():
     ev = verify_member_decision(Supernatural.from_int(12), Sieve.of(2))
     assert not ev.consistent
     assert ev.witness == 4
+    # at factor bound 3, 4 is the first value of the second divisor window
+    ev = verify_member_decision(Supernatural.from_int(12), Sieve.of(2), 20, 3)
+    assert (ev.consistent, ev.witness) == (False, 4)
 
 
 def test_verify_member_rejects_full_sieve():
@@ -451,11 +455,21 @@ def test_chain_walks_match_reference(monoid, factors, num, den, probes, cap):
 def test_membership_table_matches_contains(sieve, bound):
     members = [n for n in range(1, bound + 1) if sieve.contains(n)]
     assert sieve.members_upto(bound) == members
-    table = sieve.membership_table(bound)
-    assert len(table) == max(bound, 0) + 1 and table[0] == 0
+    window = sieve.membership_window(1, bound, 1)
+    assert window == bytearray(sieve.contains(n) for n in range(1, bound + 1))
     # every small bound too, so an instance at the bound itself is met
     for b in range(min(bound, 60)):
         assert sieve.members_upto(b) == [n for n in members if n <= b]
+
+
+# a cap of 3 sends every family of a strided window to the per-value test
+@WALK
+@given(proper_sieves(), st.integers(1, 500), st.integers(0, 80), st.integers(1, 40),
+       st.sampled_from((sieve_module.TABLE_CAP, 3)))
+def test_membership_window_matches_contains(sieve, lo, count, stride, cap):
+    with patch.object(sieve_module, "TABLE_CAP", cap):
+        window = sieve.membership_window(lo, count, stride)
+    assert window == bytearray(sieve.contains(lo + k * stride) for k in range(count))
 
 
 def test_negative_walk_leaves_factorize_cache_alone():
@@ -504,14 +518,13 @@ def test_rank_one_steps_frozen():
     assert none.unresolved == stuck.unresolved and none.steps == 2
 
 
-# ------------------------------------------------- strided slices and growth
+# ------------------------------------------------------ membership windows
 #
-# The rank-one walk reads its candidates out of strided slices of one
-# membership table, grows that table by doubling while c' leaves it, and
-# goes one step at a time past TABLE_CAP.  Pair cones over a single prime
+# The rank-one walk reads its candidates out of strided membership windows
+# that double in length up to TABLE_CAP.  Pair cones over a single prime
 # power have few elements and ratios up to 2 * 5^4, so their long walks
-# cross the first table at the bounds drawn here, and a patched cap sends
-# them past it.
+# cross several windows at the bounds drawn here, and a patched cap holds
+# the windows short.
 
 
 @st.composite
@@ -549,41 +562,45 @@ def test_long_walks_match_reference(cone, bound, cap):
     assert rep.rank_one.steps == walked(rep.rank_one, bound)
 
 
-def table_bounds():
-    """Patch membership_table to record the bound of every table built."""
-    bounds = []
-    real = Sieve.membership_table
+def window_lengths():
+    """Patch membership_window to record the length of every window read."""
+    lengths = []
+    real = Sieve.membership_window
 
-    def spy(self, bound):
-        bounds.append(bound)
-        return real(self, bound)
+    def spy(self, lo, count, stride):
+        lengths.append(count)
+        return real(self, lo, count, stride)
 
-    return bounds, patch.object(Sieve, "membership_table", spy)
+    return lengths, patch.object(Sieve, "membership_window", spy)
 
 
-def test_negative_walk_reads_only_its_tables():
-    # criterion 7's negative case on the window {1/9, 1/3, 1}: c' runs to
-    # 9 * 10,000, so the table grows from 10,000 and no value is left for
-    # Sieve.contains
+def test_negative_walk_reads_only_bounded_windows():
+    # criterion 7's negative case on the window {1/9, 1/3, 1}: every pair
+    # walks all 10,000 candidates out of windows, none longer than the cap,
+    # and no value is left for Sieve.contains
     pair = BZPair(1, Supernatural.from_exponents({3: INF}))
     cone = TruncatedCone.from_pair(pair, Sieve.of(2), 1, 9)
-    bounds, spy = table_bounds()
-    with spy, patch.object(Sieve, "contains", autospec=True, side_effect=Sieve.contains) as calls:
+    lengths, spy = window_lengths()
+    with spy, patch.object(oracle, "TABLE_CAP", 1_000), patch.object(
+        Sieve, "contains", autospec=True, side_effect=Sieve.contains
+    ) as calls:
         report = check_point_conditions(cone, search_bound=10_000)
     assert calls.call_count == 0
     assert len(report.rank_one.unresolved) == 3 and report.rank_one.steps == 3 + 3 * 10_000
-    # members_upto(200) for freeness, then the walk's tables: each twice the
-    # last, but no larger than the pair needs ((1/9, 1/3) ends at c' = 30,000,
-    # (1/9, 1) at 90,000, and (1/3, 1) needs no more)
-    assert bounds == [200, 10_000, 20_000, 30_000, 60_000, 90_000]
+    # members_upto(200) for freeness, then the walk's windows: two per
+    # span of 64, 128, 256, 512, then 1,000 at a time up to 10,000
+    assert lengths[0] == 200 and max(lengths[1:]) == 1_000
+    assert sum(lengths[1:]) == 3 * 2 * 10_000
 
 
-def test_first_candidate_witness_keeps_the_first_table():
+def test_first_candidate_witness_reads_only_the_first_windows():
     # (1/256, 1): step 1, ratio 256 > 64; c = 1 and c' = 256 already witness
-    # it, so a slice of 64 candidates (c' up to 16,384) must not be read
+    # it, so every pair reads its first two windows of 64 candidates and no
+    # more
     cone = TruncatedCone.from_pair(pow2_pair(), Sieve.of(2), 1, 256)
-    bounds, spy = table_bounds()
+    lengths, spy = window_lengths()
     with spy:
         rep = check_point_conditions(cone, search_bound=2_000).rank_one
     assert (Fraction(1, 256), Fraction(1), Fraction(1, 256), 1, 256) in rep.witnesses
-    assert rep.verified and bounds == [200, 2_000]
+    # 9 elements, 36 pairs
+    assert rep.verified and lengths == [200] + [64] * 2 * 36
