@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
 
 from ._primes import factorize, power_upto, primes_upto
@@ -57,7 +58,8 @@ class TruncatedCone:
     elements lists every member whose reduced numerator and denominator
     fit the bounds; membership beyond the window is answered by the
     carried predicate (rank-one witnesses routinely fall outside), which
-    takes a reduced fraction as its numerator and denominator ints.
+    takes a reduced fraction as its numerator and denominator ints.  A
+    from_pair cone keeps its pair (else None) so walks may stop early.
     """
 
     elements: tuple[Fraction, ...]
@@ -65,6 +67,7 @@ class TruncatedCone:
     num_bound: int
     den_bound: int
     predicate: Callable[[int, int], bool] = field(repr=False, compare=False)
+    pair: BZPair | None = field(default=None, repr=False, compare=False)
 
     def member(self, q: Fraction) -> bool:
         q = Fraction(q)
@@ -93,7 +96,7 @@ class TruncatedCone:
                 and divides_exponents(v, exp)
             )
 
-        return cls(elems, monoid, num_bound, den_bound, mem)
+        return cls(elems, monoid, num_bound, den_bound, mem, pair)
 
     @classmethod
     def from_chain(
@@ -136,7 +139,7 @@ class RankOneReport:
 
     steps counts the candidates c walked over all pairs: c // step for a
     pair with a witness (1 on the diagonal), search_bound // step for an
-    unresolved one (none for a negative bound).
+    unresolved one, walked or closed by a period (none for a negative bound).
     """
 
     verified: bool
@@ -177,7 +180,9 @@ def check_point_conditions(
     denominator (_both_members).  The windows double in length up to
     TABLE_CAP, so memory stays bounded at any search bound and a walk
     that stops early reads little.  Only a monoid family too wide to
-    sieve in a window sends values to the global factorize cache.
+    sieve in a window sends values to the global factorize cache.  On a
+    from_pair cone, a walk with no witness in its first windows stops
+    there, unresolved, when one period of k proves it (_closed).
     """
     elems = cone.elements
     ms = cone.monoid.members_upto(200)[:8]
@@ -194,6 +199,7 @@ def check_point_conditions(
     steps = 0
     for i, a in enumerate(elems):
         an, ad = a.numerator, a.denominator
+        closed = cone.pair and partial(_closed, cone, a)
         wits.append((a, a, a, 1, 1))
         steps += 1
         for a2 in elems[i + 1 :]:
@@ -202,8 +208,8 @@ def check_point_conditions(
             g = gcd(cross1, cross2)
             # c must be a multiple of step or c' = a2*c/a is not integral
             step, ratio = cross1 // g, cross2 // g
-            ks = chain.from_iterable(_both_members(monoid, step, ratio, search_bound // step))
-            for k in ks:
+            walk = _both_members(monoid, step, ratio, search_bound // step, closed)
+            for k in chain.from_iterable(walk):
                 c = k * step
                 g = gcd(an, c)
                 if test(an // g, ad * c // g):
@@ -356,13 +362,16 @@ _factor = factorize.__wrapped__
 _FIRST_SLICE = 64
 
 
-def _both_members(monoid: Sieve, x: int, y: int, count: int) -> Iterator[Iterator[int]]:
+def _both_members(
+    monoid: Sieve, x: int, y: int, count: int, closed: Callable[..., bool] | None = None
+) -> Iterator[Iterator[int]]:
     """The k = 1 .. count with k*x and k*y both in the monoid-or-one,
     ascending, as one iterator per pair of windows.
 
     Each pair is two strided membership windows of the monoid (1 counts
     as a member), ANDed as ints (SWAR, Lamport, CACM 1975); a window is
-    read only when the walk gets to it.
+    read only when the walk gets to it.  The walk stops after the first
+    pair when closed(x, y, count) proves that no later k serves the caller.
     """
 
     def bits(lo: int, n: int, stride: int) -> int:
@@ -377,7 +386,43 @@ def _both_members(monoid: Sieve, x: int, y: int, count: int) -> Iterator[Iterato
         both = bits(j * x, n, x) & bits(j * y, n, y)
         if both:
             yield compress(range(j, j + n), both.to_bytes(n, "little"))
+        if j == 1 and closed and closed(x, y, count):
+            return
         j, span = j + n, 2 * span
+
+
+def _closed(cone: TruncatedCone, a: Fraction, step: int, ratio: int, count: int) -> bool:
+    """True proves that no k in 2 .. count gives c = k*step, c' = k*ratio
+    in the monoid and b = a/c in the cone of the pair.
+
+    Three necessary conditions are periodic in k: c and c' are multiples
+    of a generator or family cofactor; at each of their primes p where
+    the denominators' exponent e_p is finite, b's denominator has at most
+    e_p factors p; the scale divides b's numerator.  The last two read
+    v_p(k) <= t = u + v_p(a's numerator) - v_p(step) for a (p, u) in
+    limits, and fail on the multiples of p^(t+1) if it is <= TABLE_CAP.
+    """
+    divs = cone.monoid.finite_gens + tuple(f.cofactor for f in cone.monoid.families)
+    period = lcm(*(g // gcd(g, x) for g in divs for x in (step, ratio)))
+    if not divs or 1 in divs or period > TABLE_CAP:
+        return False
+    na, da, sa = (dict(_factor(x)) for x in (a.numerator, a.denominator, step))
+    # each prime of a g divides g // gcd(g, step), hence the period, or step
+    primes = {p for p, _ in _factor(period) + _factor(step) if any(g % p == 0 for g in divs)}
+    exp = cone.pair.denominators.exps.value_at
+    limits = [(q, -s) for q, s in _factor(cone.pair.scale)]
+    limits += [(p, exp(p) - da.get(p, 0)) for p in primes if exp(p) != INF]
+    ds = (power_upto(p, max(u + na.get(p, 0) - sa.get(p, 0) + 1, 0), TABLE_CAP) for p, u in limits)
+    strikes = [d for d in ds if d]
+    period = lcm(period, *strikes)
+    if period > TABLE_CAP or period >= count:
+        return False
+    window = Sieve(divs).membership_window
+    mask = window(step, period, step)
+    for d in strikes:
+        mask[d - 1 :: d] = bytes(period // d)
+    both = int.from_bytes(mask, "little") & int.from_bytes(window(ratio, period, ratio), "little")
+    return not both
 
 
 def _divisor_window(lo: int, count: int, exp: Callable[[int], Exp]) -> bytearray:

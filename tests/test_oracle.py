@@ -29,6 +29,7 @@ from steinitz import (
     additively_closed,
     chain_from_points,
     check_point_conditions,
+    cone_contains,
     cone_enumerate,
     int_divides,
     member,
@@ -366,17 +367,25 @@ def proper_sieves(draw):
 
 
 @st.composite
+def pair_cones(draw, monoids=proper_sieves()):
+    """A pair's cone: wide denominators, a scale of primes below 15."""
+    monoid = draw(monoids)
+    num, den = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    dens = draw(wide_supernaturals())
+    scale = 1
+    for p in draw(st.sets(st.sampled_from(PRIMES_TO_100[:6]), max_size=2)):
+        if dens.exponent(p) == 0:
+            scale *= p
+    return TruncatedCone.from_pair(BZPair(scale, dens), monoid, num * scale, den)
+
+
+@st.composite
 def cones(draw):
     monoid = draw(proper_sieves() | st.just(Sieve.full()))
     kind = draw(st.sampled_from(("pair", "chain", "elements")))
-    num, den = draw(st.integers(1, 4)), draw(st.integers(1, 12))
     if kind == "pair":
-        dens = draw(wide_supernaturals())
-        scale = 1
-        for p in draw(st.sets(st.sampled_from(PRIMES_TO_100[:6]), max_size=2)):
-            if dens.exponent(p) == 0:
-                scale *= p
-        return TruncatedCone.from_pair(BZPair(scale, dens), monoid, num * scale, den)
+        return draw(pair_cones(st.just(monoid)))
+    num, den = draw(st.integers(1, 4)), draw(st.integers(1, 12))
     if kind == "chain":
         stages, c = [], 1
         for f in draw(st.lists(st.integers(2, 4), max_size=2)):
@@ -562,12 +571,14 @@ def test_long_walks_match_reference(cone, bound, cap):
     assert rep.rank_one.steps == walked(rep.rank_one, bound)
 
 
-def window_lengths():
-    """Patch membership_window to record the length of every window read."""
+def window_lengths(longest=None):
+    """Patch membership_window to record the length of every window read,
+    failing at once on a window longer than longest."""
     lengths = []
     real = Sieve.membership_window
 
     def spy(self, lo, count, stride):
+        assert longest is None or count <= longest, f"a window of {count} values"
         lengths.append(count)
         return real(self, lo, count, stride)
 
@@ -575,11 +586,14 @@ def window_lengths():
 
 
 def test_negative_walk_reads_only_bounded_windows():
-    # criterion 7's negative case on the window {1/9, 1/3, 1}: every pair
-    # walks all 10,000 candidates out of windows, none longer than the cap,
-    # and no value is left for Sieve.contains
+    # (1, 3^inf) over the multiples of the primes 1 mod 4, on the window
+    # {1/9, 1/3, 1}: the family's cofactor 1 leaves no period to read, so
+    # every pair walks all 10,000 candidates out of windows, none longer
+    # than the cap, and no value is left for Sieve.contains
     pair = BZPair(1, Supernatural.from_exponents({3: INF}))
-    cone = TruncatedCone.from_pair(pair, Sieve.of(2), 1, 9)
+    primes = PrimeSet(4, frozenset({1}), frozenset(), frozenset())
+    monoid = Sieve((), (Family(1, primes, ExpMap(1, {0: 1}, {})),))
+    cone = TruncatedCone.from_pair(pair, monoid, 1, 9)
     lengths, spy = window_lengths()
     with spy, patch.object(oracle, "TABLE_CAP", 1_000), patch.object(
         Sieve, "contains", autospec=True, side_effect=Sieve.contains
@@ -591,6 +605,18 @@ def test_negative_walk_reads_only_bounded_windows():
     # span of 64, 128, 256, 512, then 1,000 at a time up to 10,000
     assert lengths[0] == 200 and max(lengths[1:]) == 1_000
     assert sum(lengths[1:]) == 3 * 2 * 10_000
+    # criterion 7's negative case over sieve(2) on the same window: each
+    # pair reads its first two windows, then one period of k, 2, for c and
+    # for c' (k even for c in sieve(2), k odd for b's denominator), and no
+    # more
+    cone = TruncatedCone.from_pair(pair, Sieve.of(2), 1, 9)
+    lengths, spy = window_lengths()
+    with spy, patch.object(
+        Sieve, "contains", autospec=True, side_effect=Sieve.contains
+    ) as calls:
+        again = check_point_conditions(cone, search_bound=10_000)
+    assert again.rank_one == report.rank_one and calls.call_count == 0
+    assert lengths == [200] + [64, 64, 2, 2] * 3
 
 
 def test_first_candidate_witness_reads_only_the_first_windows():
@@ -604,3 +630,84 @@ def test_first_candidate_witness_reads_only_the_first_windows():
     assert (Fraction(1, 256), Fraction(1), Fraction(1, 256), 1, 256) in rep.witnesses
     # 9 elements, 36 pairs
     assert rep.verified and lengths == [200] + [64] * 2 * 36
+
+
+# ------------------------------------------------------- the period proof
+#
+# A pair's walk with no witness in its first windows stops there when one
+# period of k shows that no k >= 2 can serve (oracle._closed).  The proof
+# is checked here against the plain walk beyond the period, and against
+# member: a pair with no witness at any bound means the cone is no point.
+
+
+def closed_pairs(cone, bound):
+    """The (a, a2, step, ratio) of the cone whose walk to the bound the
+    period test proves empty past k = 1."""
+    out = []
+    for i, a in enumerate(cone.elements):
+        for a2 in cone.elements[i + 1 :]:
+            cross1, cross2 = a.numerator * a2.denominator, a2.numerator * a.denominator
+            g = gcd(cross1, cross2)
+            step, ratio = cross1 // g, cross2 // g
+            if oracle._closed(cone, a, step, ratio, bound // step):
+                out.append((a, a2, step, ratio))
+    return out
+
+
+CRITERION_7_NEGATIVE = TruncatedCone.from_pair(
+    BZPair(1, Supernatural.from_exponents({3: INF})), Sieve.of(2), 4, 720
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pair_cones())
+@example(CRITERION_7_NEGATIVE)
+# (9, 9/2) over sieve(6): step 2, ratio 1, so 6 | k, and the scale 3 divides
+# b = 9/(2k) only while 9 does not divide k; k = 6 is a witness
+@example(TruncatedCone.from_pair(BZPair(3, pow2_pair().denominators), Sieve.of(6), 9, 2))
+def test_closed_pairs_have_no_witness(cone):
+    pair, monoid = cone.pair, cone.monoid
+    closed = closed_pairs(cone, 3_000)
+    for a, a2, step, ratio in closed:
+        for k in range(2, 3_000 // step + 1):
+            c, c2 = k * step, k * ratio
+            assert not (
+                monoid.contains(c) and monoid.contains(c2) and cone_contains(pair, a / c)
+            ), (str(pair), str(monoid), a, a2, k)
+    if closed:
+        assert not member(pair.denominators, monoid), (str(pair), str(monoid))
+
+
+def test_huge_finite_exponent_closes_at_once():
+    # 2^(2**70) is a finite exponent: the walks compare it, never raise 2 to it
+    huge = Supernatural.from_exponents({2: 2**70, 3: INF})
+    cone = TruncatedCone.from_pair(BZPair(1, huge), Sieve.of(2), 1, 9)
+    rep = check_point_conditions(cone, search_bound=10**6).rank_one
+    assert rep.verified and rep.steps == walked(rep, 10**6)
+    # over sieve(6), (1/5, 1) needs 6 | k for c and 3 not dividing k for
+    # b = 1/(5k), so no pair ever has a witness; the period test leaves out
+    # the 2-adic condition, whose period 2^(2**70 + 1) is past the cap
+    huge = Supernatural.from_exponents({2: 2**70, 5: INF})
+    cone = TruncatedCone.from_pair(BZPair(1, huge), Sieve.of(6), 1, 25)
+    lengths, spy = window_lengths()
+    with spy:
+        rep = check_point_conditions(cone, search_bound=10**6).rank_one
+    assert len(rep.unresolved) == len(cone.elements) * (len(cone.elements) - 1) // 2
+    assert rep.steps == walked(rep, 10**6)
+    assert not member(huge, Sieve.of(6))
+    # each pair reads its first two windows and two masks of one period, 6
+    assert sum(lengths[1:]) == len(rep.unresolved) * (2 * 64 + 2 * 6)
+
+
+def test_criterion_7_negative_cone_at_a_huge_bound():
+    # 63 pairs of the window have no witness at any bound; every pair reads
+    # its first two windows of 64, and each open one a period of 2 for c and
+    # for c', so a walk towards the bound fails at its first longer window
+    bound = 10**12
+    lengths, spy = window_lengths(longest=200)
+    with spy:
+        rep = check_point_conditions(CRITERION_7_NEGATIVE, search_bound=bound).rank_one
+    assert len(rep.unresolved) == 63 and not rep.verified
+    assert rep.steps == walked(rep, bound)
+    n = len(CRITERION_7_NEGATIVE.elements)
+    assert lengths[0] == 200 and sum(lengths[1:]) == 128 * n * (n - 1) // 2 + 4 * 63
