@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain, compress
 from math import gcd, lcm
 from typing import Callable, Iterator, Sequence
@@ -228,9 +228,11 @@ class MemberEvidence:
     """Outcome of the divisor-completion scan.
 
     witness is the least divisor n <= div_bound of s that no member
-    c <= factor_bound of the sieve completes to c*n dividing s, or None.
-    A member past factor_bound may still complete it, so a refutation
-    holds at the bounds, not beyond them.
+    c <= factor_bound of the sieve completes to c*n dividing s, or None:
+    equally, that no generator g <= factor_bound (finite, or a family
+    instance) completes, since g | c and g is itself a member.  A member
+    past factor_bound may still complete it, so a refutation holds at
+    the bounds, not beyond them.
     """
 
     consistent: bool
@@ -247,32 +249,30 @@ def verify_member_decision(
 
     The point of a proper sieve contains the class of s only if every
     integer divisor n of s completes to c*n dividing s for some c in
-    the sieve.  Scanning n ascending and witnesses c ascending keeps
-    the refuting divisor, when one exists within the bounds, the
-    smallest one.
+    the sieve.  Scanning n ascending keeps the refuting divisor, when
+    one exists within the bounds, the smallest one.
 
-    The scan order and the evidence are those of the plain scan that
-    factors every n and c.  The divisors of s come from a window over
-    1 .. factor_bound, cleared at the multiples of p^(e+1) for each
-    prime p of finite exponent e in s, and past it from windows of
-    doubling length, as far as the scan gets.  When the last completing
-    c fails for n, n is factored (once, by trial division) and the next
-    c is read off a copy of the first window cleared at the multiples
-    of p^(e-k+1) for each p^k exactly dividing n.  The candidates come
-    from the sieve's membership window; no global cache is used.
+    The evidence is that of the plain scan over the members c <=
+    factor_bound, read through the generators g <= factor_bound instead
+    (see MemberEvidence).  Those dividing s are read off the first
+    divisor window, over 1 .. max(min(div_bound, factor_bound), largest
+    generator); later divisors come from windows of doubling length, as
+    far as the scan gets.  The generator that completed the last divisor
+    is tried first, then each in turn; each is factored by trial division
+    once, and no global cache is used.
     """
     s = _as_supernatural(x)
     if sieve.contains(1):
         raise ValueError("the full sieve admits every point; nothing to check")
-    cands = sieve.members_upto(factor_bound)
     exp = s.exps.value_at
-    divides = _divisor_window(1, max(factor_bound, 1), exp)
-    last: int | None = None
-    last_fac: tuple[tuple[int, int], ...] = ()
+    gens = sieve._generators_upto(factor_bound, factor_bound)[0]
+    divides = _divisor_window(1, max(min(div_bound, factor_bound), *gens, 1), exp)
+    gens = [g for g in gens if divides[g - 1]]
+    factor = cache(_factor)
 
-    def completes(n: int) -> bool:
-        # n | s already, so c*n | s holds iff it holds at the primes of c
-        for q, e in last_fac:
+    def completes(g: int, n: int) -> bool:
+        # n | s already, so g*n | s holds iff it holds at the primes of g
+        for q, e in factor(g):
             while n % q == 0:
                 n //= q
                 e += 1
@@ -280,18 +280,12 @@ def verify_member_decision(
                 return False
         return True
 
+    last: int | None = None
     for n in _divisors(div_bound, exp, divides):
-        if last is not None and completes(n):
-            continue
-        room = divides[:]
-        for q, k in _factor(n):
-            e = exp(q)
-            if e != INF and (d := power_upto(q, e - k + 1, factor_bound)):
-                room[d - 1 :: d] = bytes(len(room) // d)
-        last = next((c for c in cands if room[c - 1]), None)
-        if last is None:
-            return MemberEvidence(False, n)
-        last_fac = _factor(last)
+        if last is None or not completes(last, n):
+            last = next((g for g in gens if completes(g, n)), None)
+            if last is None:
+                return MemberEvidence(False, n)
     return MemberEvidence(True, None)
 
 

@@ -68,14 +68,12 @@ class Family:
             ps = PrimeSet(ps.modulus, ps.classes, ps.include - folded, ps.exclude | folded)
         return [self.instance(p) for p in sorted(folded)], (None if ps.is_empty() else ps)
 
-    def covers(self, n_factors: dict[int, int]) -> bool:
-        """Does some instance divide the integer with these factors?"""
-        for p in n_factors:
-            if not self.primes.contains(p):
-                continue
-            need = dict(factorize(self.cofactor))
-            need[p] = need.get(p, 0) + int(self.exponents.value_at(p))
-            if all(n_factors.get(q, 0) >= e for q, e in need.items()):
+    def covers(self, n: int) -> bool:
+        """Does some instance divide n?  c * p^e | n iff c | n and p^e | n // c."""
+        if n % self.cofactor:
+            return False
+        for p, k in factorize(n // self.cofactor):
+            if self.primes.contains(p) and k >= self.exponents.value_at(p):
                 return True
         return False
 
@@ -150,10 +148,10 @@ class Sieve:
         for g in self.finite_gens:
             if n % g == 0:
                 return True
-        if not self.families:
-            return False
-        nf = dict(factorize(n))
-        return any(f.covers(nf) for f in self.families)
+        for f in self.families:
+            if f.covers(n):
+                return True
+        return False
 
     def membership_window(self, lo: int, count: int, stride: int) -> bytearray:
         """window[k] == 1 iff lo + k*stride is in the sieve, for 0 <= k < count.
@@ -163,29 +161,14 @@ class Sieve:
         of k: its start comes from one modular inverse, its marks from one
         slice assignment.  A family whose member primes would run past
         max(count, TABLE_CAP) is the one exception: it tests the values
-        left unmarked one by one (Family.covers, factoring each), so a
-        window never costs more than its own bytes and a prime sieve of
-        that size.
+        left unmarked one by one (Family.covers, factoring each value
+        over the cofactor), so a window never costs more than its own
+        bytes and a prime sieve of that size.
         """
         if lo < 1 or stride < 1:
             raise ValueError(f"need a positive start and stride, got {lo} and {stride}")
         window = bytearray(max(count, 0))
-        top = lo + (count - 1) * stride
-        gens = [g for g in self.finite_gens if g <= top]
-        wide = []
-        for f in self.families:
-            c, em = f.cofactor, f.exponents
-            # a member prime p with c * p^e(p) <= top lies below 2^ceil(b/e)
-            # for the least member exponent e, b being top // c's bit length
-            vals = (*em.class_values.values(), *em.exceptions.values())
-            e = int(min((v for v in vals if v != INF and v >= 1), default=1))
-            reach = min(top // c, 1 << -(-(top // c).bit_length() // e))
-            if reach > max(count, TABLE_CAP):
-                wide.append(f)
-                continue
-            for p in filter(f.primes.contains, primes_upto(reach)):
-                if d := power_upto(p, int(em.value_at(p)), top // c):
-                    gens.append(c * d)
+        gens, wide = self._generators_upto(lo + (count - 1) * stride, max(count, TABLE_CAP))
         ones = bytearray(b"\x01") * count
         for g in gens:
             d = gcd(stride, g)
@@ -196,8 +179,30 @@ class Sieve:
         for f in wide:
             for k in range(count):
                 if not window[k]:
-                    window[k] = f.covers(dict(factorize(lo + k * stride)))
+                    window[k] = f.covers(lo + k * stride)
         return window
+
+    def _generators_upto(self, top: int, cap: int) -> tuple[list[int], list[Family]]:
+        """The finite generators and family instances cofactor * p^e(p) at
+        most top, and the families left out as wide: those whose member
+        primes would run past cap.  No family is wide at cap >= top.
+        """
+        gens = [g for g in self.finite_gens if g <= top]
+        wide = []
+        for f in self.families:
+            c, em = f.cofactor, f.exponents
+            # a member prime p with c * p^e(p) <= top lies below 2^ceil(b/e)
+            # for the least member exponent e, b being top // c's bit length
+            vals = (*em.class_values.values(), *em.exceptions.values())
+            e = int(min((v for v in vals if v != INF and v >= 1), default=1))
+            reach = min(top // c, 1 << -(-(top // c).bit_length() // e))
+            if reach > cap:
+                wide.append(f)
+                continue
+            for p in filter(f.primes.contains, primes_upto(reach)):
+                if d := power_upto(p, int(em.value_at(p)), top // c):
+                    gens.append(c * d)
+        return gens, wide
 
     def members_upto(self, bound: int) -> list[int]:
         return list(compress(range(1, bound + 1), self.membership_window(1, bound, 1)))
@@ -234,9 +239,7 @@ class Sieve:
             return Sieve((1,), ())
         kept = [g for g in gens if not any(h != g and g % h == 0 for h in gens)]
         fams.sort(key=_family_key)
-        kept = [
-            g for g in kept if not any(f.covers(dict(factorize(g))) for f in fams)
-        ]
+        kept = [g for g in kept if not any(f.covers(g) for f in fams)]
         # a family whose cofactor is a multiple of a generator only restates
         # multiples of that generator
         fams = [f for f in fams if not any(f.cofactor % g == 0 for g in kept)]

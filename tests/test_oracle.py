@@ -425,8 +425,19 @@ def test_point_conditions_match_reference(cone, bound, cap):
     assert rep.rank_one.steps == walked(rep.rank_one, bound)
 
 
+def all_primes_family(cofactor, exp):
+    return Family(cofactor, PrimeSet.all_primes(), ExpMap(1, {0: exp}, {}))
+
+
 @WALK
 @given(wide_supernaturals(), proper_sieves(), st.integers(0, 300), st.integers(0, 300))
+# instances 2*p^2 past the divisor bound; 8 | s, but no instance completes it
+@example(Supernatural.from_exponents({2: 3, 3: INF, 5: 1}),
+         Sieve((), (all_primes_family(2, 2),)), 40, 300)
+# the factor bound stops below the only generator
+@example(Supernatural.from_exponents({2: INF}), Sieve.of(4), 50, 3)
+# no instance p divides s = 1
+@example(Supernatural.one(), Sieve((), (all_primes_family(1, 1),)), 300, 300)
 def test_member_decision_matches_reference(s, sieve, div_bound, factor_bound):
     ev = verify_member_decision(s, sieve, div_bound, factor_bound)
     assert (ev.consistent, ev.witness) == reference_member_decision(
@@ -501,6 +512,10 @@ def test_large_bounds_cost_what_the_walk_uses():
         assert c.stages == (2,)
         ev = verify_member_decision(Supernatural.from_int(2), Sieve.of(4), div_bound=10**8)
         assert (ev.consistent, ev.witness) == (False, 1)
+        ev = verify_member_decision(
+            Supernatural.from_exponents({2: INF}), Sieve.of(4), factor_bound=10**7
+        )
+        assert (ev.consistent, ev.witness) == (True, None)
         assert tracemalloc.get_traced_memory()[1] < 4 * oracle.TABLE_CAP
     finally:
         tracemalloc.stop()
